@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"circ/internal/journal"
 )
 
 func writeProg(t *testing.T, src string) string {
@@ -112,9 +115,13 @@ func TestRunBaselineFlagguard(t *testing.T) {
 	}
 }
 
-// TestRunTraceOutput checks that -trace writes valid Chrome trace_event
-// JSON whose spans cover the analysis: complete events ("ph":"X") with
-// timestamps and durations, including the top-level circ.check span.
+// TestRunTraceOutput checks that -trace writes a Chrome trace_event file
+// that journal.ValidateTrace accepts and whose complete ("X") spans cover
+// the analysis, including the top-level circ.check span. Besides spans
+// the export carries thread_name metadata ("M") and instant steal events
+// ("i") for the reach scheduler's worker lanes whenever workers run, so
+// the phase mix depends on the parallelism; the validator owns the format
+// and this test owns the span coverage.
 func TestRunTraceOutput(t *testing.T) {
 	path := writeProg(t, safeSrc)
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
@@ -125,6 +132,9 @@ func TestRunTraceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n, err := journal.ValidateTrace(bytes.NewReader(data)); err != nil {
+		t.Fatalf("trace rejected by ValidateTrace at event %d: %v", n, err)
+	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
@@ -132,39 +142,30 @@ func TestRunTraceOutput(t *testing.T) {
 			Ts   float64 `json:"ts"`
 			Dur  float64 `json:"dur"`
 		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
-	}
-	names := map[string]bool{}
-	var checkDur float64
+	spans := map[string]bool{}
+	var checkDur, total float64
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" {
-			t.Fatalf("event %q: ph = %q, want complete event %q", ev.Name, ev.Ph, "X")
+			continue
 		}
 		if ev.Dur < 0 || ev.Ts < 0 {
-			t.Fatalf("event %q: negative ts/dur (%v/%v)", ev.Name, ev.Ts, ev.Dur)
+			t.Fatalf("span %q: negative ts/dur (%v/%v)", ev.Name, ev.Ts, ev.Dur)
 		}
-		names[ev.Name] = true
+		spans[ev.Name] = true
 		if ev.Name == "circ.check" {
 			checkDur += ev.Dur
 		}
-	}
-	for _, want := range []string{"circ.check", "iteration", "reach", "collapse"} {
-		if !names[want] {
-			t.Fatalf("trace is missing a %q span; have %v", want, names)
-		}
-	}
-	// The root span must cover (nearly all of) the analysis: every other
-	// span nests inside circ.check, so no recorded work may exceed it.
-	var total float64
-	for _, ev := range doc.TraceEvents {
 		if total < ev.Ts+ev.Dur {
 			total = ev.Ts + ev.Dur
+		}
+	}
+	for _, want := range []string{"circ.check", "iteration", "reach", "collapse"} {
+		if !spans[want] {
+			t.Fatalf("trace is missing a %q span; have %v", want, spans)
 		}
 	}
 	if checkDur == 0 || total == 0 {

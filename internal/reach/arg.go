@@ -27,27 +27,30 @@ type ARG struct {
 	cfaLoc  []cfa.Loc      // per location: the shared CFA location
 	members [][]ThreadState
 
-	stateLoc map[string]int // thread-state key -> location id
+	// Every registered thread state gets its own raw location id, so a
+	// raw id doubles as a dense thread-state id: states[id] is the thread
+	// state it was created for.
+	states   []ThreadState
+	stateLoc map[tsKey]int // thread-state key -> raw location id
 
 	edges []argEdge // program-op edges (raw ids; canonicalise via Find)
 
 	// opEdges records program transitions at thread-state granularity for
-	// trace concretisation.
-	opEdges map[string][]OpTransition
+	// trace concretisation, indexed by the source's raw id.
+	opEdges [][]OpTransition
 
-	entryKey string
+	entry int // raw id of the initial thread state; -1 before SetEntry
 }
 
 type argEdge struct {
 	src, dst int
-	havoc    map[string]bool // written variables (possibly empty: assume)
+	havoc    string // the written variable; empty for an assume
 }
 
 // OpTransition is a program-op move between two abstract thread states.
 type OpTransition struct {
-	SrcKey string
-	Edge   *cfa.Edge
-	Dst    ThreadState
+	Edge *cfa.Edge
+	Dst  int // raw id of the target thread state
 }
 
 // NewARG returns an empty ARG for thread C over predicate set s.
@@ -55,8 +58,8 @@ func NewARG(c *cfa.CFA, s *pred.Set) *ARG {
 	return &ARG{
 		C:        c,
 		Set:      s,
-		stateLoc: make(map[string]int),
-		opEdges:  make(map[string][]OpTransition),
+		stateLoc: make(map[tsKey]int),
+		entry:    -1,
 	}
 }
 
@@ -69,31 +72,24 @@ func (g *ARG) Find(id int) int {
 	return id
 }
 
-// FindState returns the canonical location id holding thread state key, or
-// -1.
-func (g *ARG) FindState(key string) int {
-	id, ok := g.stateLoc[key]
-	if !ok {
-		return -1
-	}
-	return g.Find(id)
-}
-
 // EntryLoc returns the location of the initial thread state.
-func (g *ARG) EntryLoc() int { return g.FindState(g.entryKey) }
+func (g *ARG) EntryLoc() int { return g.Find(g.entry) }
 
-// EntryKey returns the initial thread state's key.
-func (g *ARG) EntryKey() string { return g.entryKey }
+// EntryState returns the raw id of the initial thread state.
+func (g *ARG) EntryState() int { return g.entry }
+
+// State returns the thread state registered under raw id.
+func (g *ARG) State(id int) ThreadState { return g.states[id] }
 
 // NumRawLocs returns the number of allocated (pre-union) location ids.
 func (g *ARG) NumRawLocs() int { return len(g.parent) }
 
 // register ensures thread state r has a location (paper Algorithm 3,
-// Find). It returns the canonical location id.
+// Find). It returns r's raw location id.
 func (g *ARG) register(r ThreadState) int {
-	key := r.Key()
+	key := r.key()
 	if id, ok := g.stateLoc[key]; ok {
-		return g.Find(id)
+		return id
 	}
 	id := len(g.parent)
 	g.parent = append(g.parent, id)
@@ -102,39 +98,34 @@ func (g *ARG) register(r ThreadState) int {
 	g.region = append(g.region, reg)
 	g.cfaLoc = append(g.cfaLoc, r.Loc)
 	g.members = append(g.members, []ThreadState{r})
+	g.states = append(g.states, r)
+	g.opEdges = append(g.opEdges, nil)
 	g.stateLoc[key] = id
 	return id
 }
 
 // SetEntry records the initial thread state.
 func (g *ARG) SetEntry(r ThreadState) {
-	g.entryKey = r.Key()
-	g.register(r)
+	g.entry = g.register(r)
 }
 
-// ConnectMain records a program-op transition r --edge--> r2 (paper
-// Algorithm 2).
-func (g *ARG) ConnectMain(r ThreadState, edge *cfa.Edge, r2 ThreadState) {
-	src := g.register(r)
-	dst := g.register(r2)
-	havoc := map[string]bool{}
-	if w := edge.Op.WritesVar(); w != "" {
-		havoc[w] = true
+// connectMain records a program-op transition between the thread states
+// with raw ids src and dst (paper Algorithm 2). A transition already
+// recorded is not repeated: the ACFA conversion unions havoc sets per
+// location pair, and path realisation takes the first of equal moves.
+func (g *ARG) connectMain(src int, edge *cfa.Edge, dst int) {
+	for _, tr := range g.opEdges[src] {
+		if tr.Edge == edge && tr.Dst == dst {
+			return
+		}
 	}
-	g.edges = append(g.edges, argEdge{src: src, dst: dst, havoc: havoc})
-	g.opEdges[r.Key()] = append(g.opEdges[r.Key()], OpTransition{SrcKey: r.Key(), Edge: edge, Dst: r2})
+	g.edges = append(g.edges, argEdge{src: src, dst: dst, havoc: edge.Op.WritesVar()})
+	g.opEdges[src] = append(g.opEdges[src], OpTransition{Edge: edge, Dst: dst})
 }
 
-// ConnectEnv records an environment move from r to r2: both thread states
-// are identified into a single location (ARG condition (4), the paper's
-// Union for context edges).
-func (g *ARG) ConnectEnv(r ThreadState, r2 ThreadState) {
-	a := g.register(r)
-	b := g.register(r2)
-	g.union(a, b)
-}
-
-// union merges two locations (paper Algorithm 4).
+// union merges two locations (paper Algorithm 4). An environment move
+// identifies its source and target thread states this way (ARG condition
+// (4), the paper's Union for context edges).
 func (g *ARG) union(a, b int) {
 	ra, rb := g.Find(a), g.Find(b)
 	if ra == rb {
@@ -151,8 +142,8 @@ func (g *ARG) union(a, b int) {
 }
 
 // OpTransitionsFrom returns the recorded program transitions out of the
-// thread state with the given key.
-func (g *ARG) OpTransitionsFrom(key string) []OpTransition { return g.opEdges[key] }
+// thread state with raw id.
+func (g *ARG) OpTransitionsFrom(id int) []OpTransition { return g.opEdges[id] }
 
 // Roots returns the canonical location ids in ascending order.
 func (g *ARG) Roots() []int {
@@ -197,10 +188,8 @@ func (g *ARG) ToACFA() (*acfa.ACFA, map[int]acfa.Loc) {
 			hs = make(map[string]bool)
 			grouped[p] = hs
 		}
-		for v := range e.havoc {
-			if g.C.IsGlobal(v) {
-				hs[v] = true
-			}
+		if e.havoc != "" && g.C.IsGlobal(e.havoc) {
+			hs[e.havoc] = true
 		}
 	}
 	pairs := make([]pair, 0, len(grouped))
@@ -221,7 +210,7 @@ func (g *ARG) ToACFA() (*acfa.ACFA, map[int]acfa.Loc) {
 		}
 		a.AddEdge(p.s, p.d, havoc)
 	}
-	if g.entryKey != "" {
+	if g.entry >= 0 {
 		a.Entry = locMap[g.EntryLoc()]
 	}
 	a.Finish()

@@ -108,21 +108,12 @@ func (r *Result) Race() *Trace {
 	return r.Races[0]
 }
 
-type parentInfo struct {
-	parentKey string
-	op        Op
-	state     *State
-}
-
 // ReachAndBuild explores the abstract multithreaded program ((C,P),(A,k)),
 // checking for races on raceVar, and builds the ARG. abs carries the
 // predicate set P and the SMT solver. The context cancels long runs
 // between frontier levels.
 func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) (*Result, error) {
-	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts}
-	for i := range e.posts.shards {
-		e.posts.shards[i].m = make(map[postKey]*pred.Cube)
-	}
+	e := newExplorer(C, A, abs, raceVar, opts)
 	// Instrument handles are fetched once; with a nil registry they are nil
 	// and every update on the hot path degrades to a nil check.
 	if reg := opts.Metrics; reg != nil {
@@ -184,9 +175,16 @@ func (k postKey) shard() uint32 {
 	return uint32(h>>32) % postShardCount
 }
 
+// postVal is a memoised post: the successor cube and its valuation ID,
+// or a nil cube for bottom.
+type postVal struct {
+	cube *pred.Cube
+	vid  int32
+}
+
 type postShard struct {
 	mu sync.RWMutex
-	m  map[postKey]*pred.Cube // nil values record bottom
+	m  map[postKey]postVal
 }
 
 // postCache memoises abstract posts behind sharded RW mutexes: states
@@ -197,7 +195,7 @@ type postCache struct {
 	shards [postShardCount]postShard
 }
 
-func (p *postCache) get(key postKey, compute func() *pred.Cube) (*pred.Cube, bool) {
+func (p *postCache) get(key postKey, compute func() postVal) (postVal, bool) {
 	sh := &p.shards[key.shard()]
 	sh.mu.RLock()
 	c, ok := sh.m[key]
@@ -206,7 +204,8 @@ func (p *postCache) get(key postKey, compute func() *pred.Cube) (*pred.Cube, boo
 		return c, true
 	}
 	// Compute outside the lock; a concurrent duplicate computes the same
-	// deterministic cube, so last-write-wins is harmless.
+	// deterministic cube (and valuation ID), so last-write-wins is
+	// harmless.
 	c = compute()
 	sh.mu.Lock()
 	sh.m[key] = c
@@ -222,6 +221,8 @@ type explorer struct {
 	opts    Options
 
 	posts postCache
+	cubes cubeTable
+	ctxs  *ctxTable
 
 	// Telemetry handles, nil when no registry is configured (each update
 	// is then a single nil check — see BenchmarkReachTelemetry).
@@ -243,14 +244,31 @@ type explorer struct {
 	j *journal.Stream
 }
 
-func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) *pred.Cube {
-	c, hit := e.posts.get(key, compute)
+func newExplorer(C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) *explorer {
+	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts, ctxs: newCtxTable(A, opts.K)}
+	e.cubes.ids = make(map[string]int32)
+	for i := range e.posts.shards {
+		e.posts.shards[i].m = make(map[postKey]postVal)
+	}
+	return e
+}
+
+// cachedPost memoises the abstract post computed by compute under key,
+// interning the successor cube's valuation on a miss.
+func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) postVal {
+	v, hit := e.posts.get(key, func() postVal {
+		c := compute()
+		if c == nil {
+			return postVal{}
+		}
+		return postVal{cube: c, vid: e.cubes.intern(c)}
+	})
 	if hit {
 		e.cPostHits.Inc()
 	} else {
 		e.cPostMisses.Inc()
 	}
-	return c
+	return v
 }
 
 // run dispatches to the configured scheduler. Both produce identical
@@ -262,8 +280,9 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 	return e.runSteal(ctx)
 }
 
-// seed builds the ARG and the initial state shared by both schedulers.
-func (e *explorer) seed() (*ARG, *State) {
+// seed builds the ARG and the discovery record, holding the initial
+// state, shared by both schedulers.
+func (e *explorer) seed() (*ARG, *discovered) {
 	arg := NewARG(e.C, e.abs.Set)
 	allVars := append(append([]string(nil), e.C.Globals...), e.C.Locals...)
 	cube0 := e.abs.InitialCube(allVars)
@@ -273,29 +292,51 @@ func (e *explorer) seed() (*ARG, *State) {
 	} else {
 		ctx0[e.A.Entry] = Omega
 	}
-	init := &State{TS: ThreadState{Loc: e.C.Entry, Cube: cube0}, Ctx: ctx0}
-	arg.SetEntry(init.TS)
-	return arg, init
+	init := node{
+		ts:  ThreadState{Loc: e.C.Entry, Cube: cube0, vid: e.cubes.intern(cube0)},
+		ctx: e.ctxs.intern(ctx0),
+	}
+	arg.SetEntry(init.ts)
+	return arg, newDiscovered(init, arg.EntryState())
 }
 
 // emitWidened journals context locations whose counter just saturated to
 // omega on the parent→child transition, once per run. Called only from
 // sequential merge phases, so emission order is deterministic.
-func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *State) {
-	if widened == nil {
+func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *ctxEntry) {
+	if widened == nil || parent == child {
 		return
 	}
 	// A location whose counter just saturated (the parent's was finite)
 	// crossed k → omega on this transition. The omega-seeded entry never
 	// trips this: its parent value is already Omega.
-	for n := range child.Ctx {
+	for n, v := range child.vec {
 		l := acfa.Loc(n)
-		if child.Ctx[l] == Omega && parent.Ctx[l] != Omega && !widened[l] {
+		if v == Omega && parent.vec[l] != Omega && !widened[l] {
 			widened[l] = true
 			e.j.Emit(journal.Event{
 				Type: journal.EvCounterWidened,
 				Loc:  n, K: e.opts.K,
 			})
+		}
+	}
+}
+
+// merge records the successors of discovered state i in the ARG and in
+// d, in record order; the newly discovered states are appended to d.
+// Called only from the sequential merge phase of either scheduler.
+func (e *explorer) merge(arg *ARG, d *discovered, i int32, recs []succRecord, widened map[acfa.Loc]bool) {
+	src := d.at(i)
+	srcCtx, srcTS := src.n.ctx, int(src.ts)
+	for _, rec := range recs {
+		dst := arg.register(rec.n.ts)
+		if rec.op.IsEnv() {
+			arg.union(srcTS, dst)
+		} else {
+			arg.connectMain(srcTS, rec.op.MainEdge, dst)
+		}
+		if d.add(rec.n, dst, i, rec.op) {
+			e.emitWidened(widened, srcCtx, rec.n.ctx)
 		}
 	}
 }
@@ -308,11 +349,8 @@ func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *State) 
 // accounting of a sequential FIFO worklist — verdicts are bit-identical
 // at any parallelism.
 func (e *explorer) runLevel(ctx context.Context) (*Result, error) {
-	arg, init := e.seed()
-
-	seen := make(map[string]*parentInfo)
-	seen[init.Key()] = &parentInfo{state: init}
-	frontier := []*State{init}
+	arg, d := e.seed()
+	frontier := []int32{0}
 	numStates := 0
 	var races []*Trace
 	// widened tracks which context locations have already been journalled
@@ -329,47 +367,32 @@ levels:
 		}
 		e.cLevels.Inc()
 		e.gFrontier.Max(int64(len(frontier)))
-		recs := e.expandLevel(frontier)
+		recs := e.expandLevel(d, frontier)
 
-		var next []*State
-		for i, s := range frontier {
+		next := d.len()
+		for fi, i := range frontier {
 			numStates++
 			e.cStates.Inc()
 			if numStates > e.opts.maxStates() {
 				return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
 			}
-			if e.isRace(s) {
+			if e.isRace(d.at(i).n) {
 				e.cRaces.Inc()
-				races = append(races, e.buildTrace(seen, s))
+				races = append(races, d.trace(i))
 				if len(races) >= e.opts.maxRaces() {
 					// Enough counterexamples for this refinement round; the
 					// ARG is partial but unused on the error path.
 					break levels
 				}
 			}
-			dedup := make(map[string]bool)
-			for _, rec := range recs[i] {
-				// ARG bookkeeping happens here, in deterministic order, not
-				// in the parallel expansion phase.
-				if rec.op.IsEnv() {
-					arg.ConnectEnv(s.TS, rec.state.TS)
-				} else {
-					arg.ConnectMain(s.TS, rec.op.MainEdge, rec.state.TS)
-				}
-				k := rec.state.Key()
-				if dedup[k] {
-					continue
-				}
-				dedup[k] = true
-				if _, ok := seen[k]; ok {
-					continue
-				}
-				seen[k] = &parentInfo{parentKey: s.Key(), op: rec.op, state: rec.state}
-				next = append(next, rec.state)
-				e.emitWidened(widened, s, rec.state)
-			}
+			// ARG bookkeeping happens here, in deterministic order, not in
+			// the parallel expansion phase.
+			e.merge(arg, d, i, recs[fi], widened)
 		}
-		frontier = next
+		frontier = frontier[:0]
+		for i := next; i < d.len(); i++ {
+			frontier = append(frontier, i)
+		}
 	}
 	return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
 }
@@ -389,15 +412,15 @@ const minParallelFrontier = 8
 // expandLevel computes the successor records of every frontier state,
 // fanning the states out over the configured worker pool once the level
 // is large enough to amortise the handoff.
-func (e *explorer) expandLevel(frontier []*State) [][]succRecord {
+func (e *explorer) expandLevel(d *discovered, frontier []int32) [][]succRecord {
 	recs := make([][]succRecord, len(frontier))
 	workers := e.opts.parallelism()
 	if workers > len(frontier) {
 		workers = len(frontier)
 	}
 	if workers <= 1 || len(frontier) < minParallelFrontier {
-		for i, s := range frontier {
-			recs[i] = e.successors(s)
+		for fi, i := range frontier {
+			recs[fi] = e.successors(d.at(i).n)
 		}
 		return recs
 	}
@@ -407,13 +430,13 @@ func (e *explorer) expandLevel(frontier []*State) [][]succRecord {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				recs[i] = e.successors(frontier[i])
+			for fi := range idx {
+				recs[fi] = e.successors(d.at(frontier[fi]).n)
 			}
 		}()
 	}
-	for i := range frontier {
-		idx <- i
+	for fi := range frontier {
+		idx <- fi
 	}
 	close(idx)
 	wg.Wait()
@@ -421,14 +444,10 @@ func (e *explorer) expandLevel(frontier []*State) [][]succRecord {
 }
 
 // atomicOccupancy classifies the scheduling state: which ops are enabled.
-func (e *explorer) atomicOccupancy(s *State) (mainEnabled bool, envLocs []acfa.Loc) {
-	mainAtomic := e.C.IsAtomic(s.TS.Loc)
-	var atomicEnv []acfa.Loc
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if e.A.IsAtomic(acfa.Loc(n)) && s.Ctx.Occupied(acfa.Loc(n)) {
-			atomicEnv = append(atomicEnv, acfa.Loc(n))
-		}
-	}
+// The returned slice is shared with the context entry and read-only.
+func (e *explorer) atomicOccupancy(n node) (mainEnabled bool, envLocs []acfa.Loc) {
+	mainAtomic := e.C.IsAtomic(n.ts.Loc)
+	atomicEnv := n.ctx.atomicOcc
 	total := len(atomicEnv)
 	if mainAtomic {
 		total++
@@ -436,12 +455,7 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled bool, envLocs []acfa.L
 	switch {
 	case total == 0:
 		// Everything runs.
-		for n := 0; n < e.A.NumLocs(); n++ {
-			if s.Ctx.Occupied(acfa.Loc(n)) {
-				envLocs = append(envLocs, acfa.Loc(n))
-			}
-		}
-		return true, envLocs
+		return true, n.ctx.occupied
 	case total == 1 && mainAtomic:
 		return true, nil
 	case total == 1:
@@ -456,21 +470,20 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled bool, envLocs []acfa.L
 // succRecord is one computed successor, carrying what the merge phase
 // needs to record the ARG transition (op) and enqueue the state.
 type succRecord struct {
-	state *State
-	op    Op
+	n  node
+	op Op
 }
 
 // successors expands a state. It is pure with respect to the explorer —
 // safe to call from concurrent workers — touching only the concurrent
 // post cache and the (concurrency-safe) solver; ARG recording and
 // deduplication happen later in the sequential merge.
-func (e *explorer) successors(s *State) []succRecord {
-	var out []succRecord
-	add := func(st *State, op Op) {
-		out = append(out, succRecord{state: st, op: op})
-	}
-
+func (e *explorer) successors(s node) []succRecord {
 	mainEnabled, envLocs := e.atomicOccupancy(s)
+	// Collect into a stack buffer and return an exact-size copy: one
+	// allocation per expansion instead of one per append doubling.
+	var buf [16]succRecord
+	out := buf[:0]
 
 	// Note on the paper's Lambda-G conjunct: the abstract post in the
 	// paper additionally conjoins the labels of all occupied context
@@ -482,100 +495,79 @@ func (e *explorer) successors(s *State) []succRecord {
 	// reachable). We therefore constrain only by the moving thread's
 	// target label (part of the ACFA transition semantics), which the
 	// worked example's proof actually relies on.
-	fid := s.TS.Cube.FormulaID()
+	cube := s.ts.Cube
+	fid := cube.FormulaID()
 	if mainEnabled {
-		for ei, edge := range e.C.OutEdges(s.TS.Loc) {
-			edge := edge
-			next := e.cachedPost(mainPostKey(fid, s.TS.Loc, ei), func() *pred.Cube {
+		for ei, edge := range e.C.OutEdges(s.ts.Loc) {
+			next := e.cachedPost(mainPostKey(fid, s.ts.Loc, ei), func() *pred.Cube {
 				switch edge.Op.Kind {
 				case cfa.OpAssign:
-					return e.abs.PostAssign(s.TS.Cube, edge.Op.LHS, edge.Op.RHS, expr.TrueExpr)
+					return e.abs.PostAssign(cube, edge.Op.LHS, edge.Op.RHS, expr.TrueExpr)
 				case cfa.OpAssume:
-					return e.abs.PostAssume(s.TS.Cube, edge.Op.Pred, expr.TrueExpr)
+					return e.abs.PostAssume(cube, edge.Op.Pred, expr.TrueExpr)
 				case cfa.OpHavoc:
-					return e.abs.PostHavoc(s.TS.Cube, []string{edge.Op.LHS}, expr.TrueExpr, expr.TrueExpr)
+					return e.abs.PostHavoc(cube, []string{edge.Op.LHS}, expr.TrueExpr, expr.TrueExpr)
 				}
 				return nil
 			})
-			if next == nil {
+			if next.cube == nil {
 				continue
 			}
-			ts2 := ThreadState{Loc: edge.Dst, Cube: next}
-			add(&State{TS: ts2, Ctx: s.Ctx}, Op{MainEdge: edge})
+			out = append(out, succRecord{
+				n:  node{ts: ThreadState{Loc: edge.Dst, Cube: next.cube, vid: next.vid}, ctx: s.ctx},
+				op: Op{MainEdge: edge},
+			})
 		}
 	}
 
 	for _, n := range envLocs {
 		for ai, aedge := range e.A.OutEdges(n) {
-			aedge := aedge
-			ctx2 := s.Ctx.Dec(n).Inc(aedge.Dst, e.opts.K)
-			targets := e.A.Label(aedge.Dst)
-			for ti, tc := range targets.Cubes() {
-				tc := tc
+			var ctx2 *ctxEntry
+			for ti, tc := range e.A.Label(aedge.Dst).Cubes() {
 				next := e.cachedPost(envPostKey(fid, n, ai, ti), func() *pred.Cube {
-					return e.abs.PostHavoc(s.TS.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
+					return e.abs.PostHavoc(cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
 				})
-				if next == nil {
+				if next.cube == nil {
 					continue
 				}
-				ts2 := ThreadState{Loc: s.TS.Loc, Cube: next}
-				add(&State{TS: ts2, Ctx: ctx2}, Op{EnvEdge: aedge})
+				if ctx2 == nil {
+					ctx2 = e.ctxs.move(s.ctx, n, ai, aedge.Dst)
+				}
+				out = append(out, succRecord{
+					n:  node{ts: ThreadState{Loc: s.ts.Loc, Cube: next.cube, vid: next.vid}, ctx: ctx2},
+					op: Op{EnvEdge: aedge},
+				})
 			}
 		}
 	}
-	return out
-}
-
-func (e *explorer) buildTrace(seen map[string]*parentInfo, last *State) *Trace {
-	var rev []*parentInfo
-	cur := seen[last.Key()]
-	for {
-		rev = append(rev, cur)
-		if cur.parentKey == "" {
-			break
-		}
-		cur = seen[cur.parentKey]
+	if len(out) == 0 {
+		return nil
 	}
-	t := &Trace{}
-	for i := len(rev) - 1; i >= 0; i-- {
-		t.States = append(t.States, rev[i].state)
-		if i > 0 {
-			t.Steps = append(t.Steps, rev[i-1].op)
-		}
-	}
-	return t
+	return append([]succRecord(nil), out...)
 }
 
 // isRace reports whether s is a race state on e.raceVar: no occupied
 // atomic location, and two distinct threads with enabled accesses of which
 // at least one is a write (paper Section 4.1; abstract threads never
 // read).
-func (e *explorer) isRace(s *State) bool {
-	if e.C.IsAtomic(s.TS.Loc) {
+func (e *explorer) isRace(s node) bool {
+	if e.C.IsAtomic(s.ts.Loc) || len(s.ctx.atomicOcc) > 0 {
 		return false
-	}
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if e.A.IsAtomic(acfa.Loc(n)) && s.Ctx.Occupied(acfa.Loc(n)) {
-			return false
-		}
 	}
 	x := e.raceVar
 
-	mainWrites := e.C.WritesVarAt(s.TS.Loc, x)
-	mainReads := e.mainReadEnabled(s, x)
+	mainWrites := e.C.WritesVarAt(s.ts.Loc, x)
+	mainReads := e.mainReadEnabled(s.ts, x)
 
 	// Context write capability, requiring a genuinely enabled havoc edge.
 	writerLocs := 0
 	multiWriter := false
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if !s.Ctx.Occupied(acfa.Loc(n)) {
-			continue
-		}
-		if !e.envWriteEnabled(s, acfa.Loc(n), x) {
+	for _, n := range s.ctx.occupied {
+		if !e.envWriteEnabled(s.ts, n, x) {
 			continue
 		}
 		writerLocs++
-		if s.Ctx.AtLeastTwo(acfa.Loc(n)) {
+		if s.ctx.vec.AtLeastTwo(n) {
 			multiWriter = true
 		}
 	}
@@ -596,8 +588,8 @@ func (e *explorer) isRace(s *State) bool {
 // reading x at its current location: an assignment mentioning x on its
 // right-hand side, or an assume mentioning x whose predicate is abstractly
 // satisfiable in the current cube.
-func (e *explorer) mainReadEnabled(s *State, x string) bool {
-	for _, edge := range e.C.OutEdges(s.TS.Loc) {
+func (e *explorer) mainReadEnabled(ts ThreadState, x string) bool {
+	for _, edge := range e.C.OutEdges(ts.Loc) {
 		switch edge.Op.Kind {
 		case cfa.OpAssign:
 			if expr.Mentions(edge.Op.RHS, x) {
@@ -609,7 +601,7 @@ func (e *explorer) mainReadEnabled(s *State, x string) bool {
 			// cube ⊭ ¬p  ⇔  sat(cube ∧ p) is not unsat, queried on interned
 			// IDs so no formula tree is rebuilt.
 			if expr.Mentions(edge.Op.Pred, x) &&
-				e.abs.Chk.SatID(expr.IDConj(s.TS.Cube.FormulaID(), expr.Intern(edge.Op.Pred))) != smt.Unsat {
+				e.abs.Chk.SatID(expr.IDConj(ts.Cube.FormulaID(), expr.Intern(edge.Op.Pred))) != smt.Unsat {
 				return true
 			}
 		}
@@ -620,10 +612,9 @@ func (e *explorer) mainReadEnabled(s *State, x string) bool {
 // envWriteEnabled reports whether some havoc edge out of n writes x and
 // has a non-empty abstract post from the current state. It shares the
 // explorer's post cache with successor expansion (identical computations).
-func (e *explorer) envWriteEnabled(s *State, n acfa.Loc, x string) bool {
-	fid := s.TS.Cube.FormulaID()
+func (e *explorer) envWriteEnabled(ts ThreadState, n acfa.Loc, x string) bool {
+	fid := ts.Cube.FormulaID()
 	for ai, aedge := range e.A.OutEdges(n) {
-		aedge := aedge
 		writes := false
 		for _, v := range aedge.Havoc {
 			if v == x {
@@ -635,10 +626,9 @@ func (e *explorer) envWriteEnabled(s *State, n acfa.Loc, x string) bool {
 			continue
 		}
 		for ti, tc := range e.A.Label(aedge.Dst).Cubes() {
-			tc := tc
 			if e.cachedPost(envPostKey(fid, n, ai, ti), func() *pred.Cube {
-				return e.abs.PostHavoc(s.TS.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
-			}) != nil {
+				return e.abs.PostHavoc(ts.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
+			}).cube != nil {
 				return true
 			}
 		}

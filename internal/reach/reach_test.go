@@ -156,10 +156,7 @@ thread T {
 	l1 := a.AddLoc(pred.TrueRegion(set), false)
 	a.AddEdge(a.Entry, l1, []string{"x"})
 	a.Finish()
-	e := &explorer{C: c, A: a, abs: abs, raceVar: "x", opts: Options{K: 1}}
-	for i := range e.posts.shards {
-		e.posts.shards[i].m = make(map[postKey]*pred.Cube)
-	}
+	e := newExplorer(c, a, abs, "x", Options{K: 1})
 	// Find an atomic main location.
 	var atomicLoc cfa.Loc = -1
 	for l := 0; l < c.NumLocs(); l++ {
@@ -173,7 +170,7 @@ thread T {
 	}
 	ctx := make(Ctx, a.NumLocs())
 	ctx[a.Entry] = Omega
-	st := &State{TS: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, Ctx: ctx}
+	st := node{ts: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, ctx: e.ctxs.intern(ctx)}
 	for _, s := range e.successors(st) {
 		if s.op.IsEnv() {
 			t.Fatalf("environment move fired while main is atomic: %v", s.op)
@@ -355,5 +352,50 @@ thread T {
 		if s.String() == "" {
 			t.Fatalf("empty op render")
 		}
+	}
+}
+
+// TestStateIdentityIsValuation pins the state-key contract: a state's
+// cube identity is its three-valued vector, not its FormulaID. A set may
+// hold an atom and its negation (pred.Set.Add does not reject it), so
+// "p true" and "¬p false" are different valuations of one formula; they
+// must stay distinct states and distinct ARG thread states.
+func TestStateIdentityIsValuation(t *testing.T) {
+	c := buildCFA(t, `
+global int x;
+thread T {
+  while (1) { x = x + 1; }
+}
+`)
+	p := expr.Eq(expr.V("x"), expr.Num(0))
+	set := pred.NewSet(p, expr.Negate(p))
+	if set.Len() != 2 {
+		t.Fatalf("set rejected the negated atom: %s", set)
+	}
+	c1 := pred.NewCube(set, map[int]pred.TV{0: pred.True})
+	c2 := pred.NewCube(set, map[int]pred.TV{1: pred.False})
+	if c1.FormulaID() != c2.FormulaID() {
+		t.Fatalf("fixture cubes %s and %s no longer share a FormulaID", c1.Key(), c2.Key())
+	}
+	abs := pred.NewAbstractor(smt.NewChecker(), set)
+	a := acfa.Empty(set)
+	e := newExplorer(c, a, abs, "x", Options{K: 1})
+	ctx := e.ctxs.intern(make(Ctx, a.NumLocs()))
+	n1 := node{ts: ThreadState{Loc: c.Entry, Cube: c1, vid: e.cubes.intern(c1)}, ctx: ctx}
+	n2 := node{ts: ThreadState{Loc: c.Entry, Cube: c2, vid: e.cubes.intern(c2)}, ctx: ctx}
+	n3 := node{ts: ThreadState{Loc: c.Entry, Cube: c2.Clone(), vid: e.cubes.intern(c2.Clone())}, ctx: ctx}
+	arg := NewARG(c, set)
+	arg.SetEntry(n1.ts)
+	ts2, ts3 := arg.register(n2.ts), arg.register(n3.ts)
+	if ts2 == arg.EntryState() || ts3 != ts2 {
+		t.Fatalf("ARG thread-state ids: entry %d, %s -> %d, copy of %s -> %d; want the valuations apart and the copies together",
+			arg.EntryState(), c2.Key(), ts2, c2.Key(), ts3)
+	}
+	d := newDiscovered(n1, arg.EntryState())
+	if !d.add(n2, ts2, 0, Op{}) || d.len() != 2 {
+		t.Fatalf("second valuation was merged into the first state")
+	}
+	if d.add(n3, ts3, 0, Op{}) {
+		t.Fatalf("an equal valuation was discovered twice")
 	}
 }

@@ -27,8 +27,10 @@ type Ctx []int
 func (c Ctx) CloneCtx() Ctx { return append(Ctx(nil), c...) }
 
 // Key returns a canonical key.
-func (c Ctx) Key() string {
-	buf := make([]byte, 0, 2*len(c))
+func (c Ctx) Key() string { return string(c.appendKey(make([]byte, 0, 2*len(c)))) }
+
+// appendKey appends the canonical key to buf.
+func (c Ctx) appendKey(buf []byte) []byte {
 	for i, v := range c {
 		if i > 0 {
 			buf = append(buf, ',')
@@ -39,7 +41,7 @@ func (c Ctx) Key() string {
 			buf = strconv.AppendInt(buf, int64(v), 10)
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 func (c Ctx) String() string { return "[" + c.Key() + "]" }
@@ -79,12 +81,19 @@ func (c Ctx) Dec(n acfa.Loc) Ctx {
 type ThreadState struct {
 	Loc  cfa.Loc
 	Cube *pred.Cube
+
+	// vid is the cube's valuation ID within one ReachAndBuild run: equal
+	// three-valued vectors share an ID (see cubeTable).
+	vid int32
 }
 
-// Key returns a canonical key.
-func (t ThreadState) Key() string {
-	return strconv.Itoa(int(t.Loc)) + "|" + t.Cube.Key()
+// tsKey identifies a thread state: its location and cube valuation.
+type tsKey struct {
+	loc cfa.Loc
+	vid int32
 }
+
+func (t ThreadState) key() tsKey { return tsKey{t.Loc, t.vid} }
 
 func (t ThreadState) String() string {
 	return fmt.Sprintf("(%d, %s)", t.Loc, t.Cube)
@@ -95,18 +104,6 @@ func (t ThreadState) String() string {
 type State struct {
 	TS  ThreadState
 	Ctx Ctx
-
-	key string // lazily memoised Key; safe because Key is only called
-	// from the sequential merge phase (workers hand states over a
-	// happens-before edge before anyone asks for a key)
-}
-
-// Key returns a canonical key, memoised on first call.
-func (s *State) Key() string {
-	if s.key == "" {
-		s.key = s.TS.Key() + "#" + s.Ctx.Key()
-	}
-	return s.key
 }
 
 func (s *State) String() string {

@@ -73,7 +73,7 @@ const (
 // recs/race: they are written before status is atomically set to
 // slotDone and read only after observing slotDone.
 type slot struct {
-	state  *State
+	n      node
 	status int32
 	recs   []succRecord
 	race   bool
@@ -149,8 +149,8 @@ func newStealPool(e *explorer, workers int) *stealPool {
 // expand computes a claimed slot's result and publishes it. The status
 // store is the release point for recs/race.
 func (p *stealPool) expand(sl *slot) {
-	sl.recs = p.e.successors(sl.state)
-	sl.race = p.e.isRace(sl.state)
+	sl.recs = p.e.successors(sl.n)
+	sl.race = p.e.isRace(sl.n)
 	atomic.StoreInt32(&sl.status, slotDone)
 }
 
@@ -299,11 +299,10 @@ func (p *stealPool) shutdown() {
 // discovery order, and all verdict-relevant bookkeeping happens here,
 // sequentially.
 func (e *explorer) runSteal(ctx context.Context) (*Result, error) {
-	arg, init := e.seed()
-	seen := make(map[string]*parentInfo)
-	seen[init.Key()] = &parentInfo{state: init}
-
-	order := []*slot{{state: init}}
+	arg, d := e.seed()
+	// order[i] is the slot of discovered state i.
+	var slab slotSlab
+	order := []*slot{slab.new(d.at(0).n)}
 	numStates := 0
 	var races []*Trace
 	var widened map[acfa.Loc]bool
@@ -316,6 +315,7 @@ func (e *explorer) runSteal(ctx context.Context) (*Result, error) {
 
 	var retErr error
 	breakAt := -1
+	var fresh []*slot
 merge:
 	for i := 0; i < len(order); i++ {
 		if err := ctx.Err(); err != nil {
@@ -323,8 +323,7 @@ merge:
 			// held to the determinism contract.
 			return nil, err
 		}
-		sl := order[i]
-		recs, isRace := p.resolve(sl)
+		recs, isRace := p.resolve(order[i])
 		numStates++
 		e.cStates.Inc()
 		if numStates > e.opts.maxStates() {
@@ -334,7 +333,7 @@ merge:
 		}
 		if isRace {
 			e.cRaces.Inc()
-			races = append(races, e.buildTrace(seen, sl.state))
+			races = append(races, d.trace(int32(i)))
 			if len(races) >= e.opts.maxRaces() {
 				// Enough counterexamples for this refinement round; the
 				// ARG is partial but unused on the error path.
@@ -342,30 +341,19 @@ merge:
 				break merge
 			}
 		}
-		var fresh []*slot
-		dedup := make(map[string]bool)
-		for _, rec := range recs {
-			// ARG bookkeeping happens here, in deterministic order, not
-			// in the parallel expansion phase.
-			if rec.op.IsEnv() {
-				arg.ConnectEnv(sl.state.TS, rec.state.TS)
-			} else {
-				arg.ConnectMain(sl.state.TS, rec.op.MainEdge, rec.state.TS)
-			}
-			k := rec.state.Key()
-			if dedup[k] {
-				continue
-			}
-			dedup[k] = true
-			if _, ok := seen[k]; ok {
-				continue
-			}
-			seen[k] = &parentInfo{parentKey: sl.state.Key(), op: rec.op, state: rec.state}
-			ns := &slot{state: rec.state}
-			order = append(order, ns)
-			fresh = append(fresh, ns)
-			e.emitWidened(widened, sl.state, rec.state)
+		// ARG bookkeeping happens here, in deterministic order, not in the
+		// parallel expansion phase.
+		fresh = fresh[:0]
+		known := d.len()
+		e.merge(arg, d, int32(i), recs, widened)
+		for j := known; j < d.len(); j++ {
+			sl := slab.new(d.at(j).n)
+			order = append(order, sl)
+			fresh = append(fresh, sl)
 		}
+		// The merged slot's successors now live in d; drop them so the
+		// slot does not pin them.
+		order[i].recs = nil
 		p.publish(fresh, len(order)-(i+1))
 	}
 	if breakAt >= 0 {
@@ -375,4 +363,20 @@ merge:
 		return nil, retErr
 	}
 	return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
+}
+
+// slotSlab allocates slots in blocks, one allocation per slotBlock
+// discovered states.
+type slotSlab struct{ free []slot }
+
+const slotBlock = 256
+
+func (s *slotSlab) new(n node) *slot {
+	if len(s.free) == 0 {
+		s.free = make([]slot, slotBlock)
+	}
+	sl := &s.free[0]
+	s.free = s.free[1:]
+	sl.n = n
+	return sl
 }

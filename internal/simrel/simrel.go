@@ -7,32 +7,50 @@ package simrel
 
 import (
 	"circ/internal/acfa"
+	"circ/internal/expr"
 	"circ/internal/smt"
 )
 
 // Simulates reports whether a simulates g (g \preceq a): there is a weak
 // simulation relating g's entry to a's entry.
 func Simulates(g, a *acfa.ACFA, chk smt.Solver) bool {
-	rel := Relation(g, a, chk)
-	return rel[pairKey(g.Entry, a.Entry)]
+	return Relation(g, a, chk).Has(g.Entry, a.Entry)
 }
 
-// Relation computes the largest weak simulation between g and a as a set
-// of related pairs keyed by pairKey.
-func Relation(g, a *acfa.ACFA, chk smt.Solver) map[string]bool {
+// Rel is a relation between the locations of two ACFAs, stored as a dense
+// row-major matrix over (g location, a location).
+type Rel struct {
+	na int
+	in []bool
+}
+
+// Has reports whether (x, y) is in the relation.
+func (r *Rel) Has(x, y acfa.Loc) bool { return r.in[int(x)*r.na+int(y)] }
+
+func (r *Rel) drop(x, y acfa.Loc) { r.in[int(x)*r.na+int(y)] = false }
+
+// Relation computes the largest weak simulation between g and a.
+func Relation(g, a *acfa.ACFA, chk smt.Solver) *Rel {
 	ng, na := g.NumLocs(), a.NumLocs()
-	rel := make(map[string]bool)
+	rel := &Rel{na: na, in: make([]bool, ng*na)}
 	// Initialise with the static conditions: label implication and equal
-	// atomicity.
+	// atomicity. Each label is interned once, on first use, and each pair
+	// issues the query Implies would: sat(g_x ∧ ¬a_y).
+	gLabel := make([]expr.ID, ng)
+	aNegLabel := make([]expr.ID, na)
+	gDone, aDone := make([]bool, ng), make([]bool, na)
 	for x := 0; x < ng; x++ {
 		for y := 0; y < na; y++ {
 			if g.IsAtomic(acfa.Loc(x)) != a.IsAtomic(acfa.Loc(y)) {
 				continue
 			}
-			if !chk.Implies(g.Label(acfa.Loc(x)).Formula(), a.Label(acfa.Loc(y)).Formula()) {
-				continue
+			if !gDone[x] {
+				gLabel[x], gDone[x] = expr.Intern(g.Label(acfa.Loc(x)).Formula()), true
 			}
-			rel[pairKey(acfa.Loc(x), acfa.Loc(y))] = true
+			if !aDone[y] {
+				aNegLabel[y], aDone[y] = expr.InternNot(expr.Intern(a.Label(acfa.Loc(y)).Formula())), true
+			}
+			rel.in[x*na+y] = chk.SatID(expr.IDConj(gLabel[x], aNegLabel[y])) == smt.Unsat
 		}
 	}
 	weakA := acfa.WeakMoves(a)
@@ -41,12 +59,11 @@ func Relation(g, a *acfa.ACFA, chk smt.Solver) map[string]bool {
 		changed := false
 		for x := 0; x < ng; x++ {
 			for y := 0; y < na; y++ {
-				key := pairKey(acfa.Loc(x), acfa.Loc(y))
-				if !rel[key] {
+				if !rel.Has(acfa.Loc(x), acfa.Loc(y)) {
 					continue
 				}
 				if !movesMatched(g, acfa.Loc(x), acfa.Loc(y), weakA, rel) {
-					delete(rel, key)
+					rel.drop(acfa.Loc(x), acfa.Loc(y))
 					changed = true
 				}
 			}
@@ -59,14 +76,14 @@ func Relation(g, a *acfa.ACFA, chk smt.Solver) map[string]bool {
 
 // movesMatched checks that every strong move of g from x is matched by a
 // weak move of a from y landing in a related pair.
-func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, rel map[string]bool) bool {
+func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, rel *Rel) bool {
 	for _, e := range g.OutEdges(x) {
 		matched := false
 		for _, m := range weakA[y] {
 			if !havocCovers(m.Havoc, e.Havoc) {
 				continue
 			}
-			if rel[pairKey(e.Dst, m.Dst)] {
+			if rel.Has(e.Dst, m.Dst) {
 				matched = true
 				break
 			}
@@ -80,40 +97,19 @@ func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, rel map[
 
 // havocCovers reports whether sup (a weak move's havoc, possibly empty for
 // pure tau) covers sub: sub must be a subset of sup, with the pure-tau
-// move covering only empty sub.
+// move covering only empty sub. Both lists are sorted.
 func havocCovers(sup, sub []string) bool {
 	if len(sub) == 0 {
 		return true // a tau move of g is matched by any weak move ending related; prefer tau
 	}
-	if len(sup) == 0 {
-		return false
-	}
-	set := make(map[string]bool, len(sup))
-	for _, v := range sup {
-		set[v] = true
-	}
+	i := 0
 	for _, v := range sub {
-		if !set[v] {
+		for i < len(sup) && sup[i] < v {
+			i++
+		}
+		if i == len(sup) || sup[i] != v {
 			return false
 		}
 	}
 	return true
-}
-
-func pairKey(x, y acfa.Loc) string {
-	return itoa(int(x)) + "," + itoa(int(y))
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

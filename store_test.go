@@ -147,6 +147,57 @@ thread Worker {
 	}
 }
 
+// TestCertStoreReusedCountedOnce: a warm batch that re-establishes N
+// verdicts from the store reports store.reused == N in its batch metrics
+// and 1 in each reused unit's own report, not one per registry the count
+// passes through.
+func TestCertStoreReusedCountedOnce(t *testing.T) {
+	const src = `
+global int x;
+global int state;
+global int y;
+
+thread Worker {
+  local int old;
+  while (1) {
+    y = y + 1;
+    atomic {
+      old = state;
+      if (state == 0) { state = 1; }
+    }
+    if (old == 0) {
+      x = x + 1;
+      state = 0;
+    }
+  }
+}
+`
+	st := NewCertStore()
+	ctx := context.Background()
+	// Triage off: every pair runs the engine cold and is stored.
+	opts := []Option{WithCertStore(st), WithTriage(false), WithParallelism(1)}
+	if _, err := CheckAllRacesProgramless(t, ctx, NewChecker(opts...), src); err != nil {
+		t.Fatalf("cold batch: %v", err)
+	}
+	warm := NewJournal()
+	rep, err := CheckAllRacesProgramless(t, ctx, NewChecker(append(opts, WithJournal(warm))...), src)
+	if err != nil {
+		t.Fatalf("warm batch: %v", err)
+	}
+	n := countEvents(warm, journal.EvCertificateReused)
+	if n != len(rep.Results) {
+		t.Fatalf("warm batch reused %d of %d targets; want all", n, len(rep.Results))
+	}
+	if got := rep.Metrics.Counter("store.reused"); got != int64(n) {
+		t.Fatalf("batch store.reused = %d; want %d", got, n)
+	}
+	for _, r := range rep.Results {
+		if got := r.Report.Metrics.Counter("store.reused"); got != 1 {
+			t.Fatalf("%s: unit store.reused = %d; want 1", r.Target, got)
+		}
+	}
+}
+
 // CheckAllRacesProgramless is a test helper running a pre-built checker
 // over every (thread, global) pair of src.
 func CheckAllRacesProgramless(t *testing.T, ctx context.Context, chk *Checker, src string) (*BatchReport, error) {
