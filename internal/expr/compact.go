@@ -8,21 +8,25 @@ package expr
 //
 // Invariants the rest of the engine relies on:
 //
-//   - Live IDs keep their value: the nodes slice is never reindexed, so
+//   - Live IDs keep their value: nodes are never moved or reindexed, so
 //     FromID/IDView/IDHash/LookupID on a live ID return exactly what they
 //     returned before the sweep, and ID-keyed caches holding live keys
 //     stay valid.
 //   - Dead IDs are never reused: tombstones keep their slot, and new
 //     interns always append. A stale dead key in an external cache can
 //     therefore never alias a new formula — it is merely garbage.
-//   - The boolean constants are always live (IDBoolValue never locks and
-//     the engine treats their IDs as fixed).
+//   - The boolean constants are always live (their IDs are fixed
+//     constants the engine uses without looking them up).
 //
 // What a caller must guarantee: the root set covers every ID it will
 // ever dereference again (memoised cube formulas, predicate sets,
 // certificate-store evidence). Compacting while analyses are in flight
 // is unsound — the daemon only compacts between jobs, with no job
-// running.
+// running. Node reads (FromID, IDHash, IDKind, IDView, the negation
+// memo) take no lock, so this rule is also what makes the sweep safe:
+// the write lock excludes other interns and lookups, but only the
+// absence of running analyses excludes those lock-free readers while
+// Compact rewrites tombstoned slots and negation links.
 
 // CompactStats reports one Compact pass.
 type CompactStats struct {
@@ -43,7 +47,7 @@ func Compact(roots []ID) CompactStats {
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
 
-	n := len(ar.nodes)
+	n := ar.n
 	mark := make([]bool, n+1) // 1-based, like IDs
 	stack := make([]ID, 0, len(roots)+2)
 	push := func(id ID) {
@@ -60,7 +64,7 @@ func Compact(roots []ID) CompactStats {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, k := range ar.nodes[id-1].kids {
+		for _, k := range ar.node(id).kids {
 			push(k)
 		}
 	}
@@ -71,28 +75,31 @@ func Compact(roots []ID) CompactStats {
 	byHash := make(map[uint64][]ID)
 	ints := make(map[int64]ID)
 	vars := make(map[string]ID)
-	for i := range ar.nodes {
-		id := ID(i + 1)
-		nd := &ar.nodes[i]
+	for i := 1; i <= n; i++ {
+		id := ID(i)
+		nd := ar.node(id)
 		if nd.kind == KindInvalid {
 			continue // already a tombstone from an earlier pass
 		}
 		if !mark[id] {
 			st.Freed++
-			st.FreedBytes += nodeBytes(len(nd.name), len(nd.kids))
-			*nd = inode{} // kind == KindInvalid; payloads released
+			st.FreedBytes += nodeBytes(nd)
+			// Tombstone (kind == KindInvalid) and release the payloads; neg
+			// goes through its atomic accessor like every other write of it.
+			nd.kind, nd.op, nd.hash, nd.kids, nd.rep = KindInvalid, 0, 0, nil, nil
+			nd.storeNeg(NoID)
 			continue
 		}
 		st.Live++
-		if nd.neg != NoID && !mark[nd.neg] {
-			nd.neg = NoID
+		if neg := nd.loadNeg(); neg != NoID && !mark[neg] {
+			nd.storeNeg(NoID)
 		}
 		byHash[nd.hash] = append(byHash[nd.hash], id)
 		switch nd.kind {
 		case KindInt:
-			ints[nd.ival] = id
+			ints[nd.rep.(Int).Value] = id
 		case KindVar:
-			vars[nd.name] = id
+			vars[nd.rep.(Var).Name] = id
 		}
 	}
 	ar.byHash, ar.ints, ar.vars = byHash, ints, vars
@@ -107,7 +114,7 @@ func Compact(roots []ID) CompactStats {
 // Out-of-range and NoID report false.
 func Live(id ID) bool {
 	ar.mu.RLock()
-	ok := id != NoID && int(id) <= len(ar.nodes) && ar.nodes[id-1].kind != KindInvalid
+	ok := id != NoID && int(id) <= ar.n && ar.node(id).kind != KindInvalid
 	ar.mu.RUnlock()
 	return ok
 }

@@ -87,7 +87,7 @@ func TestCompactPreservesLiveLookups(t *testing.T) {
 	st := Compact(roots)
 	// Tombstones keep their slots, so the arena end right after the sweep
 	// is the boundary below which no *new* ID may ever appear again.
-	hw := ID(len(ar.nodes))
+	hw := ID(ar.n)
 	if st.Live < len(live) {
 		t.Fatalf("Compact reported %d live, want >= %d (closure of roots)", st.Live, len(live))
 	}
@@ -154,7 +154,7 @@ func TestCompactPreservesLiveLookups(t *testing.T) {
 	// Property 3: Compact is idempotent over an unchanged root set plus
 	// the re-interned nodes.
 	roots2 := append([]ID(nil), roots...)
-	for id := ID(hw) + 1; int(id) <= len(ar.nodes); id++ {
+	for id := ID(hw) + 1; int(id) <= ar.n; id++ {
 		roots2 = append(roots2, id)
 	}
 	st2 := Compact(roots2)
@@ -181,9 +181,17 @@ func TestCompactNegationLinks(t *testing.T) {
 	if Live(nx) {
 		t.Fatalf("negation %d should have been swept", nx)
 	}
+	// Links are read through the same atomic accessors InternNot uses.
+	if neg := ar.node(x).loadNeg(); neg != NoID {
+		t.Fatalf("Compact kept %d's negation link to swept %d", x, neg)
+	}
 	nx2 := InternNot(x)
 	if !Live(nx2) || nx2 == nx {
 		t.Fatalf("re-negation returned %d (old %d, live=%v)", nx2, nx, Live(nx2))
+	}
+	if ar.node(x).loadNeg() != nx2 || ar.node(nx2).loadNeg() != x {
+		t.Fatalf("re-negation did not memoise both links: %d -> %d, %d -> %d",
+			x, ar.node(x).loadNeg(), nx2, ar.node(nx2).loadNeg())
 	}
 	if got := IDKey(nx2); got != key {
 		t.Fatalf("re-negation key %q, want %q", got, key)

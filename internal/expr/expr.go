@@ -218,7 +218,15 @@ func Negate(f Expr) Expr {
 // true conjuncts. Conj of nothing is true; a false conjunct collapses the
 // result to false.
 func Conj(fs ...Expr) Expr {
-	var out []Expr
+	n := 0
+	for _, f := range fs {
+		if g, ok := f.(And); ok {
+			n += len(g.Xs)
+		} else {
+			n++
+		}
+	}
+	out := make([]Expr, 0, n)
 	var walk func(Expr) bool
 	walk = func(f Expr) bool {
 		switch g := f.(type) {
@@ -444,36 +452,72 @@ func MentionsAny(e Expr, names map[string]bool) bool {
 
 // Subst returns e with every free occurrence of a variable in m replaced by
 // the corresponding expression. The substitution is simultaneous.
+// Subtrees that mention no variable in m are shared with e, not copied.
 func Subst(e Expr, m map[string]Expr) Expr {
+	out, _ := subst(e, m)
+	return out
+}
+
+// subst is Subst that also reports whether anything was replaced.
+func subst(e Expr, m map[string]Expr) (Expr, bool) {
 	switch g := e.(type) {
 	case Int, Bool:
-		return e
+		return e, false
 	case Var:
 		if r, ok := m[g.Name]; ok {
-			return r
+			return r, true
 		}
-		return e
+		return e, false
 	case Bin:
-		return Bin{Op: g.Op, X: Subst(g.X, m), Y: Subst(g.Y, m)}
+		x, cx := subst(g.X, m)
+		y, cy := subst(g.Y, m)
+		if !cx && !cy {
+			return e, false
+		}
+		return Bin{Op: g.Op, X: x, Y: y}, true
 	case Cmp:
-		return Cmp{Op: g.Op, X: Subst(g.X, m), Y: Subst(g.Y, m)}
+		x, cx := subst(g.X, m)
+		y, cy := subst(g.Y, m)
+		if !cx && !cy {
+			return e, false
+		}
+		return Cmp{Op: g.Op, X: x, Y: y}, true
 	case Not:
-		return Not{X: Subst(g.X, m)}
+		x, c := subst(g.X, m)
+		if !c {
+			return e, false
+		}
+		return Not{X: x}, true
 	case And:
-		xs := make([]Expr, len(g.Xs))
-		for i, x := range g.Xs {
-			xs[i] = Subst(x, m)
+		if xs := substAll(g.Xs, m); xs != nil {
+			return And{Xs: xs}, true
 		}
-		return And{Xs: xs}
+		return e, false
 	case Or:
-		xs := make([]Expr, len(g.Xs))
-		for i, x := range g.Xs {
-			xs[i] = Subst(x, m)
+		if xs := substAll(g.Xs, m); xs != nil {
+			return Or{Xs: xs}, true
 		}
-		return Or{Xs: xs}
+		return e, false
 	default:
 		panic(fmt.Sprintf("expr: unknown node %T", e))
 	}
+}
+
+// substAll substitutes into each of xs. It returns nil when nothing was
+// replaced, else a fresh slice.
+func substAll(xs []Expr, m map[string]Expr) []Expr {
+	var out []Expr
+	for i, x := range xs {
+		y, c := subst(x, m)
+		if c && out == nil {
+			out = make([]Expr, len(xs))
+			copy(out, xs[:i])
+		}
+		if out != nil {
+			out[i] = y
+		}
+	}
+	return out
 }
 
 // SubstVar returns e with variable name replaced by r.

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,28 @@ func TestSubstSimultaneous(t *testing.T) {
 	got := Subst(e, map[string]Expr{"x": V("y"), "y": V("x")})
 	if got.String() != "(y - x)" {
 		t.Errorf("simultaneous subst = %v", got)
+	}
+}
+
+// TestSubstSharesUntouched checks that Subst rewrites exactly the
+// subtrees that mention a replaced variable, in every node kind, and
+// returns the others, and a tree with nothing to replace, as they are.
+func TestSubstSharesUntouched(t *testing.T) {
+	keep := Lt(V("a"), Num(1))
+	e := And{Xs: []Expr{keep, Or{Xs: []Expr{Eq(V("c"), Num(3)), Eq(V("b"), Num(2))}}, Not{X: Eq(V("a"), Sub(V("b"), V("a")))}}}
+	got := SubstVar(e, "b", Num(7))
+	want := And{Xs: []Expr{keep, Or{Xs: []Expr{Eq(V("c"), Num(3)), Eq(Num(7), Num(2))}}, Not{X: Eq(V("a"), Sub(Num(7), V("a")))}}}
+	if !Equal(got, want) {
+		t.Fatalf("SubstVar = %v, want %v", got, want)
+	}
+	if !Equal(e.Xs[1], Or{Xs: []Expr{Eq(V("c"), Num(3)), Eq(V("b"), Num(2))}}) {
+		t.Fatalf("SubstVar changed its input: %v", e)
+	}
+	if got.(And).Xs[0] != keep {
+		t.Fatalf("untouched child was rebuilt")
+	}
+	if same := SubstVar(e, "z", Num(7)); reflect.ValueOf(same.(And).Xs).Pointer() != reflect.ValueOf(e.Xs).Pointer() {
+		t.Fatalf("Subst copied a tree that mentions no replaced variable")
 	}
 }
 

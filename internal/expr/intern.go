@@ -1,9 +1,13 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements hash-consing for expressions: a process-wide
@@ -29,12 +33,18 @@ import (
 // process-local (assigned in first-intern order) and must never leak into
 // anything order-sensitive; the codebase only uses them as cache keys.
 //
-// The arena is append-only and guarded by a single RWMutex: reads (the
-// overwhelming majority — hash/kind lookups and re-interning of existing
-// structure) take the read lock, inserts double-check under the write
-// lock. Memory is monotonic for the process lifetime, which is the right
-// trade for an analysis engine that re-queries the same predicate cubes
-// thousands of times.
+// Storage and concurrency. Nodes live in geometrically growing buckets:
+// bucket b holds 64·2^b nodes and is published through an atomic pointer
+// when its first node is stored. A node is written once, before its ID
+// leaves the write lock, and is never copied or moved afterwards, so
+// every read of a known ID — hash, kind, children, representative — is a
+// plain load with no lock. The one mutable field, the memoised negation
+// link, is read and written atomically. Inserts and the hash-cons indexes
+// (byHash, ints, vars) stay behind one RWMutex: looking up existing
+// structure takes the read lock, inserts double-check under the write
+// lock. Memory is monotonic for the process lifetime (Compact tombstones
+// but never moves a node), which is the right trade for an analysis
+// engine that re-queries the same predicate cubes thousands of times.
 
 // ID is the arena identity of a canonical interned expression. The zero
 // ID is invalid (NoID); valid IDs start at 1.
@@ -82,22 +92,40 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// inode is one arena entry. Nodes are immutable after insertion except
-// for the memoised negation link, which is written under the arena lock.
+// inode is one arena entry (56 bytes). Nodes are immutable after
+// insertion except for the memoised negation link, which is only touched
+// through loadNeg/storeNeg. Leaves keep their value only in rep.
 type inode struct {
 	kind Kind
 	op   int8   // BinOp or CmpOp, by kind
-	ival int64  // KindInt value; KindBool truth (0/1)
-	name string // KindVar
-	kids []ID   // children, canonical order; never mutated after insert
-	hash uint64 // structural hash (content-only, stable across runs)
-	rep  Expr   // canonical representative tree (children shared)
 	neg  ID     // memoised logical negation; NoID until first computed
+	hash uint64 // structural hash (content-only, stable across runs)
+	kids []ID   // children, canonical order; never mutated after insert
+	rep  Expr   // canonical representative tree (children shared)
+}
+
+func (n *inode) loadNeg() ID    { return ID(atomic.LoadUint32((*uint32)(&n.neg))) }
+func (n *inode) storeNeg(id ID) { atomic.StoreUint32((*uint32)(&n.neg), uint32(id)) }
+
+// Bucket b holds 1<<(bucket0Bits+b) nodes; numBuckets of them cover every
+// uint32 ID.
+const (
+	bucket0Bits = 6
+	numBuckets  = 33 - bucket0Bits
+)
+
+// locate maps a 0-based node index to its bucket and the offset in it.
+func locate(i uint64) (b int, off uint64) {
+	j := i + 1<<bucket0Bits
+	b = bits.Len64(j) - bucket0Bits - 1
+	return b, j - 1<<(bucket0Bits+b)
 }
 
 type arena struct {
+	buckets [numBuckets]atomic.Pointer[[]inode]
+
 	mu     sync.RWMutex
-	nodes  []inode
+	n      int // nodes stored, tombstones included; IDs are 1..n
 	byHash map[uint64][]ID
 	ints   map[int64]ID
 	vars   map[string]ID
@@ -108,24 +136,30 @@ type arena struct {
 	bytes   int64
 	nodesHW int
 	bytesHW int64
-	// live counts non-tombstoned nodes; it equals len(nodes) until the
-	// first Compact. gen increments on every Compact so ID-keyed caches
-	// outside the arena can detect that a sweep happened.
+	// live counts non-tombstoned nodes; it equals n until the first
+	// Compact. gen increments on every Compact so ID-keyed caches outside
+	// the arena can detect that a sweep happened.
 	live int
 	gen  uint64
 }
 
-var ar = &arena{
-	byHash: make(map[uint64][]ID),
-	ints:   make(map[int64]ID),
-	vars:   make(map[string]ID),
-}
+// The boolean constants are the first two nodes of every arena.
+const (
+	falseID ID = 1
+	trueID  ID = 2
+)
 
-var falseID, trueID ID
+var ar = newArena()
 
-func init() {
-	falseID = internLeaf(KindBool, 0, "", FalseExpr)
-	trueID = internLeaf(KindBool, 1, "", TrueExpr)
+func newArena() *arena {
+	a := &arena{
+		byHash: make(map[uint64][]ID),
+		ints:   make(map[int64]ID),
+		vars:   make(map[string]ID),
+	}
+	a.insertLocked(inode{kind: KindBool, hash: hashInt(KindBool, 0), rep: FalseExpr})
+	a.insertLocked(inode{kind: KindBool, hash: hashInt(KindBool, 1), rep: TrueExpr})
+	return a
 }
 
 // BoolID returns the ID of a boolean constant. It never locks.
@@ -169,82 +203,88 @@ func hashInt(kind Kind, v int64) uint64 {
 
 // --- arena primitives ---
 
+// node returns the arena slot of id. It takes no lock: the caller learnt
+// id from an intern, a lookup or a negation link, all of which happen
+// after the slot was written.
+func (a *arena) node(id ID) *inode {
+	b, off := locate(uint64(id) - 1)
+	return &(*a.buckets[b].Load())[off]
+}
+
+// insertLocked stores n in the next free slot, indexes it by hash and
+// accounts for it, and returns its ID. Caller holds the write lock.
+func (a *arena) insertLocked(n inode) ID {
+	b, off := locate(uint64(a.n))
+	if off == 0 {
+		bucket := make([]inode, 1<<(bucket0Bits+b))
+		a.buckets[b].Store(&bucket)
+	}
+	(*a.buckets[b].Load())[off] = n
+	a.n++
+	id := ID(a.n)
+	a.byHash[n.hash] = append(a.byHash[n.hash], id)
+	a.live++
+	a.bytes += nodeBytes(&n)
+	a.nodesHW = max(a.nodesHW, a.live)
+	a.bytesHW = max(a.bytesHW, a.bytes)
+	return id
+}
+
 // findLocked returns the existing composite node matching (kind, op,
 // kids), or NoID. Caller holds at least the read lock.
 func (a *arena) findLocked(h uint64, kind Kind, op int8, kids []ID) ID {
 	for _, id := range a.byHash[h] {
-		n := &a.nodes[id-1]
-		if n.kind != kind || n.op != op || len(n.kids) != len(kids) {
-			continue
-		}
-		same := true
-		for i := range kids {
-			if n.kids[i] != kids[i] {
-				same = false
-				break
-			}
-		}
-		if same {
+		n := a.node(id)
+		if n.kind == kind && n.op == op && slices.Equal(n.kids, kids) {
 			return id
 		}
 	}
 	return NoID
 }
 
-// compositeHash folds the children's hashes into the node seed. Caller
-// holds at least the read lock.
+// compositeHash folds the children's hashes into the node seed.
 func (a *arena) compositeHash(kind Kind, op int8, kids []ID) uint64 {
 	h := hashSeed(kind, op)
 	for _, k := range kids {
-		h = mix64(h, a.nodes[k-1].hash)
+		h = mix64(h, a.node(k).hash)
 	}
 	return h
 }
 
-// internLeaf interns an Int, Bool, or Var node.
-func internLeaf(kind Kind, ival int64, name string, rep Expr) ID {
-	ar.mu.RLock()
-	var id ID
-	switch kind {
-	case KindInt:
-		id = ar.ints[ival]
-	case KindVar:
-		id = ar.vars[name]
-	case KindBool:
-		if len(ar.nodes) >= 2 { // after init
-			id = BoolID(ival != 0)
-		}
+// leafLocked returns the existing Int or Var node, or NoID. Caller holds
+// at least the read lock.
+func (a *arena) leafLocked(kind Kind, ival int64, name string) ID {
+	if kind == KindInt {
+		return a.ints[ival]
 	}
+	return a.vars[name]
+}
+
+// internLeaf interns an Int or Var node. The representative is boxed only
+// on insert, so a hit allocates nothing.
+func internLeaf(kind Kind, ival int64, name string) ID {
+	ar.mu.RLock()
+	id := ar.leafLocked(kind, ival, name)
 	ar.mu.RUnlock()
 	if id != NoID {
 		return id
 	}
 	var h uint64
+	var rep Expr
 	if kind == KindVar {
-		h = hashString(kind, name)
+		h, rep = hashString(kind, name), Var{Name: name}
 	} else {
-		h = hashInt(kind, ival)
+		h, rep = hashInt(kind, ival), Int{Value: ival}
 	}
 	ar.mu.Lock()
 	defer ar.mu.Unlock()
-	switch kind {
-	case KindInt:
-		if id := ar.ints[ival]; id != NoID {
-			return id
-		}
-	case KindVar:
-		if id := ar.vars[name]; id != NoID {
-			return id
-		}
+	if id := ar.leafLocked(kind, ival, name); id != NoID {
+		return id
 	}
-	ar.nodes = append(ar.nodes, inode{kind: kind, ival: ival, name: name, hash: h, rep: rep})
-	id = ID(len(ar.nodes))
-	ar.byHash[h] = append(ar.byHash[h], id)
-	ar.accountInsertLocked(nodeBytes(len(name), 0))
-	switch kind {
-	case KindInt:
+	id = ar.insertLocked(inode{kind: kind, hash: h, rep: rep})
+	if kind == KindInt {
 		ar.ints[ival] = id
-	case KindVar:
+	} else {
 		ar.vars[name] = id
 	}
 	return id
@@ -254,8 +294,8 @@ func internLeaf(kind Kind, ival int64, name string, rep Expr) ID {
 // representative from the children's representatives. kids must already
 // be in canonical order; the slice is copied on insert.
 func internComposite(kind Kind, op int8, kids []ID) ID {
-	ar.mu.RLock()
 	h := ar.compositeHash(kind, op, kids)
+	ar.mu.RLock()
 	id := ar.findLocked(h, kind, op, kids)
 	ar.mu.RUnlock()
 	if id != NoID {
@@ -269,15 +309,15 @@ func internComposite(kind Kind, op int8, kids []ID) ID {
 	var rep Expr
 	switch kind {
 	case KindBin:
-		rep = Bin{Op: BinOp(op), X: ar.nodes[kids[0]-1].rep, Y: ar.nodes[kids[1]-1].rep}
+		rep = Bin{Op: BinOp(op), X: ar.node(kids[0]).rep, Y: ar.node(kids[1]).rep}
 	case KindCmp:
-		rep = Cmp{Op: CmpOp(op), X: ar.nodes[kids[0]-1].rep, Y: ar.nodes[kids[1]-1].rep}
+		rep = Cmp{Op: CmpOp(op), X: ar.node(kids[0]).rep, Y: ar.node(kids[1]).rep}
 	case KindNot:
-		rep = Not{X: ar.nodes[kids[0]-1].rep}
+		rep = Not{X: ar.node(kids[0]).rep}
 	case KindAnd, KindOr:
 		xs := make([]Expr, len(kids))
 		for i, k := range kids {
-			xs[i] = ar.nodes[k-1].rep
+			xs[i] = ar.node(k).rep
 		}
 		if kind == KindAnd {
 			rep = And{Xs: xs}
@@ -287,26 +327,7 @@ func internComposite(kind Kind, op int8, kids []ID) ID {
 	default:
 		panic(fmt.Sprintf("expr: internComposite of %v", kind))
 	}
-	own := make([]ID, len(kids))
-	copy(own, kids)
-	ar.nodes = append(ar.nodes, inode{kind: kind, op: op, kids: own, hash: h, rep: rep})
-	id = ID(len(ar.nodes))
-	ar.byHash[h] = append(ar.byHash[h], id)
-	ar.accountInsertLocked(nodeBytes(0, len(kids)))
-	return id
-}
-
-// accountInsertLocked updates the live/bytes accounting and high-water
-// marks for one inserted node. Caller holds the write lock.
-func (a *arena) accountInsertLocked(nb int64) {
-	a.live++
-	a.bytes += nb
-	if a.live > a.nodesHW {
-		a.nodesHW = a.live
-	}
-	if a.bytes > a.bytesHW {
-		a.bytesHW = a.bytes
-	}
+	return ar.insertLocked(inode{kind: kind, op: op, kids: slices.Clone(kids), hash: h, rep: rep})
 }
 
 // --- public accessors ---
@@ -314,32 +335,17 @@ func (a *arena) accountInsertLocked(nb int64) {
 // FromID returns the canonical representative expression of id. The
 // returned tree shares substructure with every other representative;
 // treat it as immutable.
-func FromID(id ID) Expr {
-	ar.mu.RLock()
-	rep := ar.nodes[id-1].rep
-	ar.mu.RUnlock()
-	return rep
-}
+func FromID(id ID) Expr { return ar.node(id).rep }
 
 // IDHash returns the precomputed 64-bit structural hash of id. Hashes
 // are a function of content only and identical across runs.
-func IDHash(id ID) uint64 {
-	ar.mu.RLock()
-	h := ar.nodes[id-1].hash
-	ar.mu.RUnlock()
-	return h
-}
+func IDHash(id ID) uint64 { return ar.node(id).hash }
 
 // IDKind returns the node kind of id.
-func IDKind(id ID) Kind {
-	ar.mu.RLock()
-	k := ar.nodes[id-1].kind
-	ar.mu.RUnlock()
-	return k
-}
+func IDKind(id ID) Kind { return ar.node(id).kind }
 
 // IDBoolValue reports whether id is a boolean constant and, if so, its
-// truth value. It never locks: the two constant IDs are fixed at init.
+// truth value. The two constant IDs are fixed in every arena.
 func IDBoolValue(id ID) (value, ok bool) {
 	switch id {
 	case trueID:
@@ -368,22 +374,20 @@ type View struct {
 // IDView decomposes id for structure-directed consumers (the SMT encoder
 // walks formulas this way without rebuilding trees or keys).
 func IDView(id ID) View {
-	ar.mu.RLock()
-	n := &ar.nodes[id-1]
+	n := ar.node(id)
 	v := View{Kind: n.kind, Kids: n.kids}
 	switch n.kind {
 	case KindInt:
-		v.Int = n.ival
+		v.Int = n.rep.(Int).Value
 	case KindBool:
-		v.Bool = n.ival != 0
+		v.Bool = id == trueID
 	case KindVar:
-		v.Name = n.name
+		v.Name = n.rep.(Var).Name
 	case KindBin:
 		v.BinOp = BinOp(n.op)
 	case KindCmp:
 		v.CmpOp = CmpOp(n.op)
 	}
-	ar.mu.RUnlock()
 	return v
 }
 
@@ -426,22 +430,26 @@ func Stats() ArenaStats {
 }
 
 // nodeBytes estimates one interned node's footprint: the inode struct
-// (~88 bytes with padding), its byHash index slot, an amortized share of
-// the canonical representative tree, the name payload, and 4 bytes per
-// child ID. Constants were calibrated against unsafe.Sizeof; exactness
-// is not the point — monotone growth visibility is.
-func nodeBytes(nameLen, kids int) int64 {
-	const perNode = 88 + 16 + 48 // inode + index slot + representative share
-	return int64(perNode + nameLen + 4*kids)
+// (56 bytes), its byHash index slot, an amortized share of the canonical
+// representative tree, a variable's name, and 4 bytes per child ID.
+// Constants were calibrated against unsafe.Sizeof; exactness is not the
+// point — monotone growth visibility is.
+func nodeBytes(n *inode) int64 {
+	const perNode = 56 + 16 + 48 // inode + index slot + representative share
+	b := int64(perNode + 4*len(n.kids))
+	if v, ok := n.rep.(Var); ok {
+		b += int64(len(v.Name))
+	}
+	return b
 }
 
 // --- smart constructors ---
 
 // InternNum interns an integer constant.
-func InternNum(v int64) ID { return internLeaf(KindInt, v, "", Int{Value: v}) }
+func InternNum(v int64) ID { return internLeaf(KindInt, v, "") }
 
 // InternV interns a variable reference.
-func InternV(name string) ID { return internLeaf(KindVar, 0, name, Var{Name: name}) }
+func InternV(name string) ID { return internLeaf(KindVar, 0, name) }
 
 // InternBin interns x op y with the same constant folding and identity
 // rules as Simplify, plus hash-ordering of commutative operands.
@@ -514,18 +522,16 @@ func InternCmp(op CmpOp, x, y ID) ID {
 // InternNot interns the logical negation of x, pushing the negation into
 // boolean constants, comparisons, and double negations (the same rules as
 // Negate). Negations are memoised both ways on the nodes, so repeated
-// complement lookups are a read-locked field load.
+// complement lookups are one atomic load.
 func InternNot(x ID) ID {
-	ar.mu.RLock()
-	n := ar.nodes[x-1] // struct copy; kids slice is immutable
-	ar.mu.RUnlock()
-	if n.neg != NoID {
-		return n.neg
+	n := ar.node(x)
+	if neg := n.loadNeg(); neg != NoID {
+		return neg
 	}
 	var out ID
 	switch n.kind {
 	case KindBool:
-		out = BoolID(n.ival == 0)
+		out = BoolID(x == falseID)
 	case KindCmp:
 		out = InternCmp(CmpOp(n.op).Negate(), n.kids[0], n.kids[1])
 	case KindNot:
@@ -533,26 +539,33 @@ func InternNot(x ID) ID {
 	default:
 		out = internComposite(KindNot, 0, []ID{x})
 	}
-	ar.mu.Lock()
-	ar.nodes[x-1].neg = out
-	ar.nodes[out-1].neg = x
-	ar.mu.Unlock()
+	// Racing callers compute the same hash-consed out, so the stores agree.
+	n.storeNeg(out)
+	ar.node(out).storeNeg(x)
 	return out
 }
 
-// idLess is the canonical child order: by structural hash, with the
+// hid is a child ID paired with its structural hash, so sorting reads
+// each child's hash once instead of once per comparison.
+type hid struct {
+	h  uint64
+	id ID
+}
+
+// cmpHID is the canonical child order: by structural hash, with the
 // (vanishingly rare) hash ties broken by canonical key so the order is a
 // pure function of content — never of intern order.
-func idLess(a, b ID) bool {
-	if a == b {
-		return false
+func cmpHID(x, y hid) int {
+	if x.h != y.h {
+		return cmp.Compare(x.h, y.h)
 	}
-	ha, hb := IDHash(a), IDHash(b)
-	if ha != hb {
-		return ha < hb
+	if x.id == y.id {
+		return 0
 	}
-	return IDKey(a) < IDKey(b)
+	return strings.Compare(IDKey(x.id), IDKey(y.id))
 }
+
+func idLess(a, b ID) bool { return cmpHID(hid{IDHash(a), a}, hid{IDHash(b), b}) < 0 }
 
 // internNary builds a canonical And/Or: flatten same-kind children, drop
 // identity constants, collapse on absorbing constants, deduplicate,
@@ -563,70 +576,95 @@ func internNary(kind Kind, xs []ID) ID {
 	if kind == KindOr {
 		identity, absorb = falseID, trueID
 	}
-	kids := make([]ID, 0, len(xs)+4)
-	ar.mu.RLock()
+	if len(xs) == 2 {
+		phi, lit := xs[0], xs[1]
+		if IDKind(phi) != kind {
+			phi, lit = lit, phi
+		}
+		if IDKind(phi) == kind && IDKind(lit) != kind {
+			return insertLit(kind, phi, lit, identity, absorb)
+		}
+	}
+	// Canonical same-kind children carry no constants, so only the
+	// arguments themselves need the identity/absorb check.
+	var buf [32]hid
+	kids := buf[:0]
+	if len(xs) > len(buf) {
+		kids = make([]hid, 0, len(xs))
+	}
 	for _, x := range xs {
-		n := &ar.nodes[x-1]
-		if n.kind == kind {
-			kids = append(kids, n.kids...)
-			continue
-		}
-		kids = append(kids, x)
-	}
-	ar.mu.RUnlock()
-	out := kids[:0]
-	for _, k := range kids {
-		if k == identity {
-			continue
-		}
-		if k == absorb {
+		n := ar.node(x)
+		switch {
+		case n.kind == kind:
+			for _, k := range n.kids {
+				kids = append(kids, hid{IDHash(k), k})
+			}
+		case x == identity:
+		case x == absorb:
 			return absorb
+		default:
+			kids = append(kids, hid{n.hash, x})
 		}
-		out = append(out, k)
 	}
-	kids = out
-	sort.Slice(kids, func(i, j int) bool { return idLess(kids[i], kids[j]) })
-	// Dedup adjacent (sorted ⇒ equal IDs adjacent).
-	out = kids[:0]
-	var prev ID
+	slices.SortFunc(kids, cmpHID)
+	kids = slices.Compact(kids) // sorted ⇒ equal IDs adjacent
+	var idBuf [32]ID
+	ids := idBuf[:0]
 	for _, k := range kids {
-		if k == prev {
-			continue
-		}
-		out = append(out, k)
-		prev = k
+		ids = append(ids, k.id)
 	}
-	kids = out
 	// Complementary pair ⇒ the absorbing constant. Negations are memoised
 	// on the nodes, so this is n hash lookups, not n interns after warmup.
-	for _, k := range kids {
-		if containsID(kids, InternNot(k)) {
+	for _, id := range ids {
+		if containsID(ids, InternNot(id)) {
 			return absorb
 		}
 	}
-	switch len(kids) {
+	switch len(ids) {
 	case 0:
 		return identity
 	case 1:
-		return kids[0]
+		return ids[0]
 	}
-	return internComposite(kind, 0, kids)
+	return internComposite(kind, 0, ids)
+}
+
+// insertLit is internNary for its commonest call, a canonical And/Or phi
+// joined with one child lit of another kind — the cube query φ ∧ p of the
+// abstract post. phi's children are sorted, distinct and free of
+// complementary pairs already, so it binary-searches lit's slot and
+// probes once for ¬lit instead of re-sorting and re-checking them all.
+func insertLit(kind Kind, phi, lit, identity, absorb ID) ID {
+	switch lit {
+	case identity:
+		return phi
+	case absorb:
+		return absorb
+	}
+	kids := ar.node(phi).kids
+	x := hid{IDHash(lit), lit}
+	i, found := slices.BinarySearchFunc(kids, x, func(k ID, x hid) int {
+		return cmpHID(hid{IDHash(k), k}, x)
+	})
+	if found {
+		return phi
+	}
+	if containsID(kids, InternNot(lit)) {
+		return absorb
+	}
+	var buf [32]ID
+	out := append(buf[:0], kids[:i]...)
+	out = append(out, lit)
+	out = append(out, kids[i:]...)
+	return internComposite(kind, 0, out)
 }
 
 // containsID reports membership via binary search over the hash order.
 func containsID(sorted []ID, want ID) bool {
 	wh := IDHash(want)
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if IDHash(sorted[mid]) < wh {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for ; lo < len(sorted) && IDHash(sorted[lo]) == wh; lo++ {
-		if sorted[lo] == want {
+	i, _ := slices.BinarySearchFunc(sorted, wh, func(k ID, h uint64) int { return cmp.Compare(IDHash(k), h) })
+	for ; i < len(sorted) && IDHash(sorted[i]) == wh; i++ {
+		if sorted[i] == want {
 			return true
 		}
 	}
@@ -660,20 +698,20 @@ func Intern(e Expr) ID {
 	case Not:
 		return InternNot(Intern(g.X))
 	case And:
-		kids := make([]ID, len(g.Xs))
-		for i, x := range g.Xs {
-			kids[i] = Intern(x)
-		}
-		return internNary(KindAnd, kids)
+		return internNary(KindAnd, internAll(g.Xs, make([]ID, 0, 32)))
 	case Or:
-		kids := make([]ID, len(g.Xs))
-		for i, x := range g.Xs {
-			kids[i] = Intern(x)
-		}
-		return internNary(KindOr, kids)
+		return internNary(KindOr, internAll(g.Xs, make([]ID, 0, 32)))
 	default:
 		panic(fmt.Sprintf("expr: unknown node %T", e))
 	}
+}
+
+// internAll appends the IDs of xs to buf.
+func internAll(xs []Expr, buf []ID) []ID {
+	for _, x := range xs {
+		buf = append(buf, Intern(x))
+	}
+	return buf
 }
 
 // LookupID returns the ID of e without inserting anything: it succeeds

@@ -1,8 +1,10 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -219,6 +221,14 @@ func FuzzIntern(f *testing.F) {
 		pos := 0
 		e := genExpr(data, &pos, 3)
 		checkInternProperties(t, e)
+		// The rest of the input picks a second formula; joining it to e by
+		// the insert path and by the general path must agree.
+		lit := Intern(genExpr(data, &pos, 2))
+		id, other := Intern(e), Intern(Lt(V("x"), Num(3)))
+		r := rand.New(rand.NewSource(int64(len(data))))
+		for _, phi := range []ID{id, IDConj(id, other), IDDisj(id, other)} {
+			checkInsertMatchesGeneral(t, r, phi, lit)
+		}
 	})
 }
 
@@ -248,4 +258,228 @@ func TestArenaStats(t *testing.T) {
 	if InternStats() != after.Nodes {
 		t.Fatalf("InternStats shim disagrees with Stats")
 	}
+}
+
+// generalNary joins phi and lit with kind through internNary's general
+// path: phi's children (or phi itself when it is not of that kind) and
+// lit go in as at least three separate arguments, shuffled.
+func generalNary(r *rand.Rand, kind Kind, phi, lit ID) ID {
+	var xs []ID
+	if IDKind(phi) == kind {
+		xs = append(xs, IDView(phi).Kids...)
+	} else {
+		xs = append(xs, phi)
+	}
+	xs = append(xs, lit)
+	for len(xs) < 3 {
+		xs = append(xs, BoolID(kind == KindAnd)) // the identity
+	}
+	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	return internNary(kind, xs)
+}
+
+// checkInsertMatchesGeneral asserts that IDConj(phi, lit) and
+// IDDisj(phi, lit), in both argument orders, intern to the same ID as the
+// general path.
+func checkInsertMatchesGeneral(t *testing.T, r *rand.Rand, phi, lit ID) {
+	t.Helper()
+	for _, k := range []struct {
+		kind Kind
+		join func(...ID) ID
+	}{{KindAnd, IDConj}, {KindOr, IDDisj}} {
+		kind, join := k.kind, k.join
+		got := join(phi, lit)
+		if rev := join(lit, phi); rev != got {
+			t.Fatalf("%v of %s and %s depends on argument order: %v vs %v", kind, IDKey(phi), IDKey(lit), got, rev)
+		}
+		if want := generalNary(r, kind, phi, lit); got != want {
+			t.Fatalf("%v of %s and %s: insert path %s, general path %s",
+				kind, IDKey(phi), IDKey(lit), IDKey(got), IDKey(want))
+		}
+	}
+}
+
+// TestIDConjInsertMatchesGeneral is the differential test of internNary's
+// insert path: for random canonical φ and literal l, φ ∧ l and φ ∨ l must
+// intern to the general path's ID. The literal cases cover l already in
+// φ, ¬l in φ, l a boolean constant, l itself an And or Or, a fresh l, and
+// φ that is not n-ary at all.
+func TestIDConjInsertMatchesGeneral(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	atom := func() ID {
+		return InternCmp(CmpOp(r.Intn(6)), InternV(fmt.Sprintf("ins%d", r.Intn(6))), InternNum(int64(r.Intn(4))))
+	}
+	atoms := func() []ID {
+		xs := make([]ID, 2+r.Intn(6))
+		for i := range xs {
+			xs[i] = atom()
+		}
+		return xs
+	}
+	seen := map[string]int{}
+	for i := 0; i < 3000; i++ {
+		var phi ID
+		switch r.Intn(3) {
+		case 0:
+			phi = IDConj(atoms()...)
+		case 1:
+			phi = IDDisj(atoms()...)
+		default:
+			phi = atom()
+		}
+		kids := []ID{phi}
+		if k := IDKind(phi); k == KindAnd || k == KindOr {
+			kids = IDView(phi).Kids
+		} else {
+			seen["phi not n-ary"]++
+		}
+		var lit ID
+		var c string
+		switch r.Intn(6) {
+		case 0:
+			lit, c = kids[r.Intn(len(kids))], "l in phi"
+		case 1:
+			lit, c = InternNot(kids[r.Intn(len(kids))]), "not l in phi"
+		case 2:
+			lit, c = BoolID(r.Intn(2) == 0), "l constant"
+		case 3:
+			lit = IDConj(atoms()...)
+			c = "l " + IDKind(lit).String()
+		case 4:
+			lit = IDDisj(atoms()...)
+			c = "l " + IDKind(lit).String()
+		default:
+			lit, c = atom(), "l fresh"
+		}
+		seen[c]++
+		checkInsertMatchesGeneral(t, r, phi, lit)
+	}
+	for _, c := range []string{"phi not n-ary", "l in phi", "not l in phi", "l constant", "l and", "l or", "l fresh"} {
+		if seen[c] == 0 {
+			t.Errorf("case %q never generated", c)
+		}
+	}
+}
+
+// TestArenaConcurrentInternAndRead races writers that intern overlapping
+// formula families against readers of already published IDs. It runs on
+// a fresh arena, so the families cross at least three bucket boundaries
+// whatever the process arena already holds. Every writer must get the
+// same ID for each family, by the insert path and the general path alike,
+// and every published ID must read back whole: canonical child order,
+// re-interning to itself, negation round-trips.
+func TestArenaConcurrentInternAndRead(t *testing.T) {
+	saved := ar
+	ar = newArena()
+	t.Cleanup(func() { ar = saved })
+
+	const families, width, writers, readers = 8, 40, 4, 3
+	lit := func(f, j int) ID {
+		return InternCmp(OpLt, InternV(fmt.Sprintf("fam%d_%d", f, j)), InternNum(int64(j)))
+	}
+	// Buffered so writers run ahead of the readers and keep inserting,
+	// and growing buckets, while published IDs are being read.
+	published := make(chan ID, 64)
+	var rg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for id := range published {
+				h, v := IDHash(id), IDView(id)
+				for j := 1; v.Kind == KindAnd && j < len(v.Kids); j++ {
+					if !idLess(v.Kids[j-1], v.Kids[j]) {
+						t.Errorf("ID %d: children out of canonical order", id)
+					}
+				}
+				if back := Intern(FromID(id)); back != id {
+					t.Errorf("Intern(FromID(%d)) = %d", id, back)
+				}
+				if n := InternNot(id); n == id || InternNot(n) != id {
+					t.Errorf("negation of %d does not round-trip (got %d)", id, n)
+				}
+				if IDHash(id) != h || IDKind(id) != v.Kind {
+					t.Errorf("ID %d changed while being read", id)
+				}
+			}
+		}()
+	}
+
+	got := make([][families]ID, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for _, f := range r.Perm(families) {
+				phi := BoolID(true)
+				for _, j := range r.Perm(width) {
+					phi = IDConj(phi, lit(f, j))
+					published <- phi
+				}
+				var xs []ID
+				for _, j := range r.Perm(width) {
+					xs = append(xs, lit(f, j))
+				}
+				if all := IDConj(xs...); all != phi {
+					t.Errorf("writer %d, family %d: general path %d, insert path %d", w, f, all, phi)
+				}
+				published <- InternNot(phi)
+				got[w][f] = phi
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(published)
+	rg.Wait()
+
+	for w := 1; w < writers; w++ {
+		if got[w] != got[0] {
+			t.Fatalf("writer %d interned the families as %v, writer 0 as %v", w, got[w], got[0])
+		}
+	}
+	if b, _ := locate(uint64(ar.n) - 1); b < 3 {
+		t.Fatalf("%d nodes reach bucket %d only; the test must cross three bucket boundaries", ar.n, b)
+	}
+}
+
+// BenchmarkIDConjLit measures the cube-query shape φ ∧ p: a canonical
+// conjunction of eight literals joined with a ninth. It asserts the
+// result against the general path, so a drifting insert path fails.
+func BenchmarkIDConjLit(b *testing.B) {
+	lits := make([]ID, 9)
+	for i := range lits {
+		lits[i] = InternCmp(OpLt, InternV(fmt.Sprintf("bench%d", i)), InternNum(int64(i)))
+	}
+	phi, want := IDConj(lits[:8]...), IDConj(lits...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := IDConj(phi, lits[8]); got != want {
+			b.Fatalf("IDConj(φ, p) = %v, want %v", got, want)
+		}
+	}
+}
+
+// BenchmarkIDHashParallel measures lock-free hash reads from every
+// GOMAXPROCS goroutine. Each read is checked against the hash computed
+// from the node's content.
+func BenchmarkIDHashParallel(b *testing.B) {
+	const n = 256
+	ids, want := make([]ID, n), make([]uint64, n)
+	for i := range ids {
+		name := fmt.Sprintf("hashbench%d", i)
+		ids[i] = InternCmp(OpLt, InternV(name), InternNum(int64(i)))
+		want[i] = mix64(mix64(hashSeed(KindCmp, int8(OpLt)), hashString(KindVar, name)), hashInt(KindInt, int64(i)))
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i = (i + 1) % n {
+			if got := IDHash(ids[i]); got != want[i] {
+				b.Errorf("IDHash(%v) = %x, want %x", ids[i], got, want[i])
+				return
+			}
+		}
+	})
 }

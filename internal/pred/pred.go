@@ -24,8 +24,9 @@ import (
 // abstraction loop issues cube queries without rebuilding literal trees.
 type Set struct {
 	preds  []expr.Expr
-	ids    []expr.ID // interned canonical predicate
-	negIDs []expr.ID // interned canonical negation
+	negs   []expr.Expr // Negate of each predicate, built once for Cube.Formula
+	ids    []expr.ID   // interned canonical predicate
+	negIDs []expr.ID   // interned canonical negation
 	index  map[expr.ID]int
 }
 
@@ -55,6 +56,7 @@ func (s *Set) Add(p expr.Expr) bool {
 	}
 	s.index[id] = len(s.preds)
 	s.preds = append(s.preds, p)
+	s.negs = append(s.negs, expr.Negate(p))
 	s.ids = append(s.ids, id)
 	s.negIDs = append(s.negIDs, expr.InternNot(id))
 	return true
@@ -176,13 +178,19 @@ func (c *Cube) FormulaID() expr.ID {
 
 // Formula returns the conjunction of the cube's decided literals.
 func (c *Cube) Formula() expr.Expr {
-	var parts []expr.Expr
+	n := 0
+	for _, v := range c.tv {
+		if v != Unknown {
+			n++
+		}
+	}
+	parts := make([]expr.Expr, 0, n)
 	for i, v := range c.tv {
 		switch v {
 		case True:
 			parts = append(parts, c.set.At(i))
 		case False:
-			parts = append(parts, expr.Negate(c.set.At(i)))
+			parts = append(parts, c.set.negs[i])
 		}
 	}
 	return expr.Conj(parts...)
