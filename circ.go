@@ -56,7 +56,6 @@ import (
 	"circ/internal/lang"
 	"circ/internal/lockset"
 	"circ/internal/param"
-	"circ/internal/reach"
 	"circ/internal/refine"
 	"circ/internal/smt"
 	"circ/internal/store"
@@ -216,8 +215,8 @@ func (p *Program) checkThread(thread string) error {
 // safe CIRC engine configured with functional options. All analyses run
 // through one Checker share a process-wide memoising SMT cache, so
 // predicate-abstraction cubes and validity queries discharged once are
-// never re-solved — across refinement rounds, across frontier workers,
-// and across the (thread, variable) pairs of a batch run.
+// never re-solved — across refinement rounds and across the (thread,
+// variable) pairs of a batch run.
 type Checker struct {
 	k           int
 	omega       bool
@@ -225,7 +224,6 @@ type Checker struct {
 	tracer      *telemetry.Tracer
 	registry    *telemetry.Registry
 	parallelism int
-	sched       Sched
 	maxRounds   int
 	maxInner    int
 	maxStates   int
@@ -300,45 +298,11 @@ func (c *Checker) SlowQueries() []SlowQuery { return c.solver.SlowQueries() }
 // capture is disabled).
 func (c *Checker) SMTSlowLogThreshold() time.Duration { return c.solver.SlowQueryThreshold() }
 
-// Scheduler returns the configured reachability scheduler.
-func (c *Checker) Scheduler() Sched { return c.sched }
-
-// WithParallelism bounds the worker pool: frontier states of one
-// reachability run and (thread, variable) pairs of a batch run are
-// expanded by at most n workers. n <= 0 selects GOMAXPROCS (the default).
-// Verdicts are identical at any parallelism.
+// WithParallelism bounds the batch worker pool: at most n (thread,
+// variable) units of a CheckAll or CheckTargets run are analysed
+// concurrently. Each unit's reachability is sequential. n <= 0 selects
+// GOMAXPROCS (the default). Verdicts are identical at any parallelism.
 func WithParallelism(n int) Option { return func(c *Checker) { c.parallelism = n } }
-
-// Sched selects the reachability scheduler; see SchedSteal and
-// SchedLevel. Both produce identical verdicts, race traces, and
-// journals at any parallelism.
-type Sched = reach.Sched
-
-// Scheduler choices for WithScheduler.
-const (
-	// SchedSteal (the default) is the deterministic work-stealing pool:
-	// workers expand outstanding states from per-worker deques with no
-	// level barrier, while a sequential merger pins discovery order.
-	SchedSteal = reach.SchedSteal
-	// SchedLevel is the level-synchronous scheduler: expand one BFS
-	// level in parallel, merge, repeat. Kept for comparison.
-	SchedLevel = reach.SchedLevel
-)
-
-// WithScheduler selects the reachability scheduler (default SchedSteal).
-func WithScheduler(s Sched) Option { return func(c *Checker) { c.sched = s } }
-
-// ParseSched maps a scheduler name — "steal" or "level" — onto its
-// Sched value, for flag and wire-option parsing.
-func ParseSched(name string) (Sched, error) {
-	switch name {
-	case "steal":
-		return SchedSteal, nil
-	case "level":
-		return SchedLevel, nil
-	}
-	return SchedSteal, fmt.Errorf("unknown scheduler %q (want \"steal\" or \"level\")", name)
-}
 
 // WithJournal attaches a flight recorder: every analysis run through the
 // Checker emits its inference events (one case per (thread, variable)
@@ -453,17 +417,15 @@ func (c *Checker) SMTStats() smt.CacheStats { return c.solver.Stats() }
 func (c *Checker) Metrics() *MetricsRegistry { return c.registry }
 
 // options assembles the internal engine options for one analysis.
-func (c *Checker) options(logger *slog.Logger, parallelism int) icirc.Options {
+func (c *Checker) options(logger *slog.Logger) icirc.Options {
 	return icirc.Options{
-		K:           c.k,
-		Omega:       c.omega,
-		Logger:      logger,
-		Metrics:     c.registry,
-		MaxRounds:   c.maxRounds,
-		MaxInner:    c.maxInner,
-		MaxStates:   c.maxStates,
-		Parallelism: parallelism,
-		Sched:       c.sched,
+		K:         c.k,
+		Omega:     c.omega,
+		Logger:    logger,
+		Metrics:   c.registry,
+		MaxRounds: c.maxRounds,
+		MaxInner:  c.maxInner,
+		MaxStates: c.maxStates,
 	}
 }
 
@@ -577,7 +539,7 @@ func (c *Checker) Check(ctx context.Context, p *Program, thread, variable string
 	if c.journal != nil {
 		s = c.journal.Stream(journalCase(thread, variable))
 	}
-	return c.checkUnit(ctx, g, variable, s, c.options(c.logger, c.parallelism))
+	return c.checkUnit(ctx, g, variable, s, c.options(c.logger))
 }
 
 // journalCase names the journal case of one (thread, variable) analysis;
@@ -668,7 +630,7 @@ func Check(ctx context.Context, src string, opts ...Option) (*Report, error) {
 // Deprecated: use Check (one-shot), or NewChecker with functional
 // options (WithTarget, WithK, WithOmega, WithLog, WithParallelism,
 // WithBudgets) and the Checker methods; they add context cancellation,
-// frontier-parallel analysis, and a shared SMT cache across calls.
+// parallel batch analysis, and a shared SMT cache across calls.
 type CheckOptions struct {
 	// Variable is the global to check for races (required).
 	Variable string

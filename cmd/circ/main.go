@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	circ -var x [-thread T] [-omega] [-k N] [-parallel N] [-v] [-baselines] prog.mn
+//	circ -var x [-thread T] [-omega] [-k N] [-v] [-baselines] prog.mn
 //
 // Static pre-analysis flags: -triage=off disables the triage stage
 // (read-only / atomic-covered / thread-local / flag-guarded discharges),
@@ -16,15 +16,14 @@
 // warnings versus proved verdicts.
 //
 // Observability flags: -trace out.json writes a Chrome trace_event
-// trace — the analysis span tree plus per-worker scheduler lanes showing
-// busy/idle/steal segments (open in chrome://tracing or Perfetto),
-// -metrics out.json writes a
-// metrics-registry snapshot, -journal out.jsonl writes the structured
-// inference journal (one JSON event per line, byte-identical at any
-// -parallel), -report out.html renders a self-contained HTML race report,
-// and -pprof addr serves net/http/pprof plus expvar (live metrics at
-// /debug/vars) and the live journal endpoints (/debug/circ/progress,
-// /debug/circ/events) for the duration of the run.
+// trace of the analysis span tree (open in chrome://tracing or
+// Perfetto), -metrics out.json writes a metrics-registry snapshot,
+// -journal out.jsonl writes the structured inference journal (one JSON
+// event per line), -report out.html renders a self-contained HTML race
+// report, and -pprof addr serves net/http/pprof plus expvar (live
+// metrics at /debug/vars) and the live journal endpoints
+// (/debug/circ/progress, /debug/circ/events) for the duration of the
+// run.
 //
 // Exit status: 0 when race freedom is proved, 1 when a genuine race is
 // found, 2 on "unknown", 3 on usage or input errors.
@@ -44,7 +43,6 @@ import (
 	"circ"
 	"circ/internal/journal"
 	"circ/internal/refine"
-	"circ/internal/telemetry"
 )
 
 func main() {
@@ -77,19 +75,6 @@ func (o *onoff) Set(s string) error {
 // IsBoolFlag lets a bare -triage mean -triage=on.
 func (o *onoff) IsBoolFlag() bool { return true }
 
-// writeTraceFile exports the merged flight-deck trace to path.
-func writeTraceFile(path string, tracer *circ.Tracer, tl *telemetry.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteTrace(f, tracer, tl); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // cliErr prints an error without duplicating the "circ:" prefix that
 // library errors already carry.
 func cliErr(err error) {
@@ -108,8 +93,6 @@ func run(args []string) int {
 		thread    = fs.String("thread", "", "thread template (default: the single thread)")
 		omega     = fs.Bool("omega", false, "use the omega-CIRC variant (Section 5)")
 		k         = fs.Int("k", 1, "initial counter parameter")
-		parallel  = fs.Int("parallel", 0, "analysis worker pool size (0: GOMAXPROCS)")
-		schedName = fs.String("sched", "steal", "reachability scheduler: steal (work-stealing) or level (level-synchronous)")
 		verbose   = fs.Bool("v", false, "narrate every CIRC iteration")
 		baselines = fs.Bool("baselines", false, "also run the lockset and flow-based baselines")
 		all       = fs.Bool("all", false, "check every global variable (ignores -var)")
@@ -154,31 +137,18 @@ func run(args []string) int {
 		cliErr(err)
 		return 3
 	}
-	sched, err := circ.ParseSched(*schedName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "circ: -sched: %v\n", err)
-		return 3
-	}
 	opts := []circ.Option{
-		circ.WithK(*k), circ.WithOmega(*omega), circ.WithParallelism(*parallel),
-		circ.WithScheduler(sched),
+		circ.WithK(*k), circ.WithOmega(*omega),
 		circ.WithTriage(bool(triage)), circ.WithSlicing(bool(slice)),
 		circ.WithSeedPredicates(bool(seedPreds)),
 	}
 	if *verbose {
 		opts = append(opts, circ.WithLog(os.Stderr))
 	}
-	// The trace carries two recorders sharing one timebase: the span
-	// tracer (attached to the checker) and the scheduler timeline
-	// (attached to each Check's context), merged at export.
 	var tracer *circ.Tracer
-	var timeline *telemetry.Timeline
-	ctx := context.Background()
 	if *traceOut != "" {
 		tracer = circ.NewTracer()
 		opts = append(opts, circ.WithTracer(tracer))
-		timeline = telemetry.NewTimelineAt(tracer.StartTime(), telemetry.DefaultTimelineCap)
-		ctx = telemetry.WithTimeline(ctx, timeline)
 	}
 	// The flight recorder backs -journal, -report, and the live /debug/circ
 	// endpoints; it is created whenever any of the three wants it.
@@ -208,7 +178,7 @@ func run(args []string) int {
 	var sections []journal.CaseSection
 	counts := map[string]int{}
 	for _, v := range vars {
-		code, sec := checkOne(ctx, chk, prog, string(src), v, *thread, *verbose, *baselines, *dotOut, *verify)
+		code, sec := checkOne(context.Background(), chk, prog, string(src), v, *thread, *verbose, *baselines, *dotOut, *verify)
 		if code > worst {
 			worst = code
 		}
@@ -219,12 +189,11 @@ func run(args []string) int {
 		printBaselineComparison(string(src), *thread, *baseline, vars, sections)
 	}
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, tracer, timeline); err != nil {
+		if err := tracer.ExportFile(*traceOut); err != nil {
 			cliErr(err)
 			return 3
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d scheduler segments)\n",
-			*traceOut, tracer.NumSpans(), timeline.Len())
+		fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", *traceOut, tracer.NumSpans())
 	}
 	if *metrics != "" {
 		data, err := json.MarshalIndent(chk.Metrics().Snapshot(), "", "  ")

@@ -117,11 +117,8 @@ func TestRunBaselineFlagguard(t *testing.T) {
 
 // TestRunTraceOutput checks that -trace writes a Chrome trace_event file
 // that journal.ValidateTrace accepts and whose complete ("X") spans cover
-// the analysis, including the top-level circ.check span. Besides spans
-// the export carries thread_name metadata ("M") and instant steal events
-// ("i") for the reach scheduler's worker lanes whenever workers run, so
-// the phase mix depends on the parallelism; the validator owns the format
-// and this test owns the span coverage.
+// the analysis, including the top-level circ.check span. The export
+// holds span events only.
 func TestRunTraceOutput(t *testing.T) {
 	path := writeProg(t, safeSrc)
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
@@ -150,7 +147,7 @@ func TestRunTraceOutput(t *testing.T) {
 	var checkDur, total float64
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" {
-			continue
+			t.Fatalf("event %q has phase %q, want only complete spans", ev.Name, ev.Ph)
 		}
 		if ev.Dur < 0 || ev.Ts < 0 {
 			t.Fatalf("span %q: negative ts/dur (%v/%v)", ev.Name, ev.Ts, ev.Dur)

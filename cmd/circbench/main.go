@@ -8,10 +8,11 @@
 //	circbench -bench     parallel-vs-sequential benchmark; emits BENCH_parallel.json
 //
 // With no flags, the four paper artifacts run in order (-bench is opt-in).
-// -parallel N sets the analysis worker pool (0: GOMAXPROCS); every phase
-// reports wall-clock time and SMT cache hit rates. -trace, -metrics, and
-// -pprof expose the telemetry layer: a Chrome trace_event span trace, a
-// metrics-registry snapshot, and a net/http/pprof + expvar debug server.
+// -parallel N sets the -bench batch worker pool (0: GOMAXPROCS); every
+// phase reports wall-clock time and SMT cache hit rates. -trace,
+// -metrics, and -pprof expose the telemetry layer: a Chrome trace_event
+// span trace, a metrics-registry snapshot, and a net/http/pprof + expvar
+// debug server.
 package main
 
 import (
@@ -44,8 +45,7 @@ import (
 )
 
 var (
-	parallel   = flag.Int("parallel", 0, "analysis worker pool size (0: GOMAXPROCS)")
-	schedName  = flag.String("sched", "steal", "reachability scheduler for every phase: steal or level")
+	parallel   = flag.Int("parallel", 0, "-bench batch worker pool size: targets checked concurrently (0: GOMAXPROCS)")
 	benchOut   = flag.String("benchout", "BENCH_parallel.json", "output path for the -bench report")
 	programDir = flag.String("programs", "examples/programs", "directory of .mn programs to include in -bench (skipped when missing)")
 	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON span trace to this file")
@@ -126,9 +126,6 @@ func parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sched is the parsed -sched value, applied to every public-API run.
-var sched circ.Sched
-
 func main() {
 	var (
 		table1  = flag.Bool("table1", false, "reproduce Table 1")
@@ -138,11 +135,6 @@ func main() {
 		bench   = flag.Bool("bench", false, "run the parallel-engine benchmark and write "+*benchOut)
 	)
 	flag.Parse()
-	var err error
-	if sched, err = circ.ParseSched(*schedName); err != nil {
-		fmt.Fprintln(os.Stderr, "circbench: -sched:", err)
-		os.Exit(3)
-	}
 	if *traceOut != "" {
 		tracer = telemetry.NewTracer()
 		baseCtx = telemetry.NewContext(baseCtx, tracer)
@@ -313,7 +305,7 @@ func check(app benchapps.App) (*icirc.Report, *cfa.CFA, time.Duration) {
 	ctx, s := journalCtx(phaseCtx, app.Key())
 	start := time.Now()
 	rep, err := icirc.Check(ctx, c, app.Variable,
-		icirc.Options{Parallelism: parallelism(), Sched: sched, Metrics: reg}, chk)
+		icirc.Options{Metrics: reg}, chk)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "circbench:", err)
 		os.Exit(1)
@@ -422,7 +414,7 @@ func runFigures() {
 	fmt.Println("-- Figures 2-4: CIRC iterations (ARGs, minimised ACFAs, refinements) --")
 	fctx, s := journalCtx(phaseCtx, "testandset/x")
 	rep, err := icirc.Check(fctx, c, "x",
-		icirc.Options{Logger: telemetry.NarrationLogger(os.Stdout), Sched: sched, Metrics: reg}, chk)
+		icirc.Options{Logger: telemetry.NarrationLogger(os.Stdout), Metrics: reg}, chk)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "circbench:", err)
 		os.Exit(1)
@@ -489,18 +481,9 @@ type benchRow struct {
 	ParIterations    int64 `json:"par_iterations"`
 	NoSeedIterations int64 `json:"noseed_iterations"`
 	SeedIterDelta    int64 `json:"seed_iter_delta"`
-	// Scheduler behaviour of the parallel run: slots stolen from another
-	// worker's deque, cumulative worker idle wall time, and learned SMT
-	// clauses replayed across sessions by the portfolio.
-	Steals        int64   `json:"steals"`
-	IdleMillis    float64 `json:"idle_ms"`
-	ClausesShared int64   `json:"clauses_shared"`
-	// Per-worker idle distribution of the parallel run, from the scheduler
-	// timeline: the busiest-waiting worker's idle total and the median
-	// worker's, in milliseconds. A large max/p50 gap means the steal
-	// scheduler left some workers starved.
-	IdleMaxMillis float64 `json:"idle_ms_max"`
-	IdleP50Millis float64 `json:"idle_ms_p50"`
+	// ClausesShared counts the parallel run's learned SMT clauses
+	// replayed across sessions by the portfolio.
+	ClausesShared int64 `json:"clauses_shared"`
 	// SlowQueries counts the parallel run's SMT solves at or above the
 	// -smt-slowlog threshold.
 	SlowQueries int64 `json:"slow_queries"`
@@ -509,7 +492,6 @@ type benchRow struct {
 type benchReport struct {
 	GOMAXPROCS  int        `json:"gomaxprocs"`
 	Parallelism int        `json:"parallelism"`
-	Sched       string     `json:"sched"`
 	Rows        []benchRow `json:"benchmarks"`
 	TotalSeqMs  float64    `json:"total_seq_ms"`
 	TotalParMs  float64    `json:"total_par_ms"`
@@ -534,23 +516,6 @@ type benchReport struct {
 	// engine counters (reach.*, bisim.*, refine.*, smt.*) summed across
 	// benchmark cases.
 	Metrics telemetry.Metrics `json:"metrics"`
-}
-
-// idleSpread reduces a run's scheduler timeline to the per-worker idle
-// distribution: the maximum and median of each lane's idle total, in
-// milliseconds. Zero lanes (a sequential run records no timeline
-// segments) yields zeros.
-func idleSpread(tl *telemetry.Timeline) (maxMs, p50Ms float64) {
-	byLane := tl.IdleByLane()
-	if len(byLane) == 0 {
-		return 0, 0
-	}
-	totals := make([]float64, 0, len(byLane))
-	for _, d := range byLane {
-		totals = append(totals, float64(d)/1e6)
-	}
-	sort.Float64s(totals)
-	return totals[len(totals)-1], totals[len(totals)/2]
 }
 
 // quantilesMs renders one histogram's latency quantiles in milliseconds.
@@ -608,16 +573,12 @@ func benchCases() []benchCase {
 
 // runOnce batch-checks src with the given parallelism on a fresh checker
 // (fresh SMT cache, so sequential and parallel runs measure the same
-// work). The returned timeline carries the run's per-worker
-// busy/idle/steal segments.
-func runOnce(src string, par int, seed bool) (*circ.BatchReport, *telemetry.Timeline, error) {
-	tl := telemetry.NewTimeline(telemetry.DefaultTimelineCap)
-	ctx := telemetry.WithTimeline(context.Background(), tl)
-	rep, err := circ.CheckAllRaces(ctx, src,
-		circ.WithParallelism(par), circ.WithScheduler(sched), circ.WithTracer(tracer),
+// work).
+func runOnce(src string, par int, seed bool) (*circ.BatchReport, error) {
+	return circ.CheckAllRaces(context.Background(), src,
+		circ.WithParallelism(par), circ.WithTracer(tracer),
 		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
 		circ.WithSeedPredicates(seed), circ.WithSMTSlowLog(*smtSlowLog))
-	return rep, tl, err
 }
 
 // runWarm measures incremental re-checking: the same program is checked
@@ -627,7 +588,7 @@ func runOnce(src string, par int, seed bool) (*circ.BatchReport, *telemetry.Time
 func runWarm(src string, par int) (warm *circ.BatchReport, reused int, err error) {
 	chk := circ.NewChecker(
 		circ.WithCertStore(circ.NewCertStore()),
-		circ.WithParallelism(par), circ.WithScheduler(sched), circ.WithTracer(tracer),
+		circ.WithParallelism(par), circ.WithTracer(tracer),
 		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
 		circ.WithSeedPredicates(bool(seedFlag)))
 	prog, err := circ.Parse(src)
@@ -674,23 +635,23 @@ func runBench() {
 	if par > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(par)
 	}
-	fmt.Printf("== Parallel engine benchmark: sequential vs %d workers (%s scheduler) ==\n", par, sched)
-	fmt.Printf("%-28s %7s %6s %5s %5s %9s %9s %9s %8s %7s %9s %11s %7s %8s %7s\n",
-		"benchmark", "targets", "disch", "seeds", "dIter", "seq", "par", "warm", "speedup", "reuse", "hit-rate", "allocs/q", "steals", "idle", "shared")
-	report := benchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Parallelism: par, Sched: sched.String()}
+	fmt.Printf("== Parallel engine benchmark: sequential vs %d batch workers ==\n", par)
+	fmt.Printf("%-28s %7s %6s %5s %5s %9s %9s %9s %8s %7s %9s %11s %7s\n",
+		"benchmark", "targets", "disch", "seeds", "dIter", "seq", "par", "warm", "speedup", "reuse", "hit-rate", "allocs/q", "shared")
+	report := benchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Parallelism: par}
 	// Each runOnce uses a fresh checker (and so a fresh registry); merge
 	// the per-run snapshots into a bench-level child of the process
 	// registry so BENCH_parallel.json carries the aggregate.
 	breg := telemetry.ChildOf(reg)
 	for _, bc := range benchCases() {
-		seq, _, err := runOnce(bc.Source, 1, bool(seedFlag))
+		seq, err := runOnce(bc.Source, 1, bool(seedFlag))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(sequential):", err)
 			os.Exit(1)
 		}
 		var msBefore, msAfter runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
-		parRep, parTL, err := runOnce(bc.Source, par, bool(seedFlag))
+		parRep, err := runOnce(bc.Source, par, bool(seedFlag))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(parallel):", err)
 			os.Exit(1)
@@ -706,7 +667,7 @@ func runBench() {
 		// iterations the exported guard predicates saved on this case.
 		var noSeedIters int64
 		if bool(seedFlag) {
-			noSeed, _, err := runOnce(bc.Source, par, false)
+			noSeed, err := runOnce(bc.Source, par, false)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(no-seed):", err)
 				os.Exit(1)
@@ -734,12 +695,9 @@ func runBench() {
 			SeededPredicates:   parRep.Metrics.Counter("seed.predicates"),
 			ParIterations:      parRep.Metrics.Counter("circ.iterations"),
 			NoSeedIterations:   noSeedIters,
-			Steals:             parRep.Metrics.Counter("reach.steal.count"),
-			IdleMillis:         float64(parRep.Metrics.Histograms["reach.worker.idle"].SumNanos) / 1e6,
 			ClausesShared:      parRep.Metrics.Counter("smt.portfolio.clauses_shared"),
 			SlowQueries:        parRep.SMT.SlowQueries,
 		}
-		row.IdleMaxMillis, row.IdleP50Millis = idleSpread(parTL)
 		report.SlowQueries += row.SlowQueries
 		if queries := row.CacheHits + row.CacheMisses + row.FastPath; queries > 0 {
 			row.AllocsPerQuery = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(queries)
@@ -779,11 +737,11 @@ func runBench() {
 		if !row.VerdictsAgree {
 			agree = "  VERDICT MISMATCH"
 		}
-		fmt.Printf("%-28s %7d %6d %5d %+5d %8.0fms %8.0fms %8.0fms %7.2fx %6.0f%% %8.1f%% %11.0f %7d %6.0fms %7d%s\n",
+		fmt.Printf("%-28s %7d %6d %5d %+5d %8.0fms %8.0fms %8.0fms %7.2fx %6.0f%% %8.1f%% %11.0f %7d%s\n",
 			bc.Name, row.Targets, row.TriageDischarged, row.SeededPredicates, row.SeedIterDelta,
 			row.SeqMillis, row.ParMillis, row.WarmMillis,
 			row.Speedup, 100*row.ReuseHitRate, 100*row.HitRate, row.AllocsPerQuery,
-			row.Steals, row.IdleMillis, row.ClausesShared, agree)
+			row.ClausesShared, agree)
 	}
 	if report.TotalParMs > 0 {
 		report.Speedup = report.TotalSeqMs / report.TotalParMs

@@ -88,13 +88,6 @@ type Options struct {
 	// collects (0 = default). MaxRaces = 1 reproduces the paper's
 	// first-trace-only behaviour, as an ablation.
 	MaxRaces int
-	// Parallelism is the number of workers used for frontier-parallel
-	// reachability (0 or 1: sequential). Verdicts are identical at any
-	// parallelism; values > 1 require chk to be safe for concurrent use
-	// (smt.CachedChecker).
-	Parallelism int
-	// Sched selects the reachability scheduler (default: work-stealing).
-	Sched reach.Sched
 }
 
 func (o Options) k() int {
@@ -220,7 +213,7 @@ func (r *Report) metricsSuffix() string {
 
 // Check runs CIRC on thread CFA c, verifying the absence of races on
 // raceVar (a global of c). The context cancels the analysis between
-// iterations and between reachability frontier levels; cancellation
+// iterations and between reachability state expansions; cancellation
 // surfaces as a non-nil error wrapping ctx.Err().
 //
 // Check wraps the core loop with the per-analysis telemetry: a
@@ -294,10 +287,10 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	}
 	// beginPhase opens a per-phase solver-work measurement for the journal
 	// and returns the closure that emits it. Full smt.Stats deltas are only
-	// attributable (and only deterministic) when this analysis has
-	// exclusive use of the solver and the phase runs sequentially; the
-	// frontier-parallel reach phase passes cachedOnly, reporting just the
-	// cache-content growth, which stays deterministic under racing workers.
+	// attributable when this analysis has exclusive use of the solver. The
+	// reach phase passes cachedOnly and reports just the cache-content
+	// growth: that is the event shape its journals have always had, so
+	// recorded journals (and the golden files) stay comparable.
 	var solver interface {
 		Stats() smt.CacheStats
 		CacheSize() int
@@ -365,13 +358,11 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			isp.Annotate("inner", inner)
 			reachDone := beginPhase("reach", true)
 			res, err := reach.ReachAndBuild(ictx, c, A, abs, raceVar, reach.Options{
-				K:           k,
-				ExactSeed:   opts.Omega,
-				MaxStates:   opts.MaxStates,
-				MaxRaces:    opts.MaxRaces,
-				Parallelism: opts.Parallelism,
-				Sched:       opts.Sched,
-				Metrics:     opts.Metrics,
+				K:         k,
+				ExactSeed: opts.Omega,
+				MaxStates: opts.MaxStates,
+				MaxRaces:  opts.MaxRaces,
+				Metrics:   opts.Metrics,
 			})
 			reachDone()
 			if err != nil {

@@ -17,14 +17,13 @@
 // Every event belongs to a case (one analysis unit, e.g. "Worker/x") and
 // carries a per-case sequence number assigned at emission. Within a case,
 // events are emitted by exactly one goroutine at a time and the engine
-// emits them only from its sequential sections (the CIRC iteration loop,
-// the reachability merge phase, refinement), so the per-case sequence is a
-// pure function of the analysed program. Events() and WriteJSONL order
-// events by (case, seq), which makes the serialized journal byte-identical
-// at any -parallel setting — the same scheme that keeps the sharded
-// post-cache merge deterministic. Scheduling-dependent solver counters are
-// confined to smt_phase_stats events, which are only emitted where they
-// too are deterministic (see EvSMTPhaseStats).
+// emits them only from sequential code (the CIRC iteration loop,
+// reachability, refinement), so the per-case sequence is a pure function
+// of the analysed program. Events() and WriteJSONL order events by
+// (case, seq), which makes the serialized journal byte-identical at any
+// -parallel setting, where batch units run concurrently. Solver counters
+// are confined to smt_phase_stats events, which are only emitted where
+// they are deterministic (see EvSMTPhaseStats).
 package journal
 
 import (
@@ -65,15 +64,14 @@ const (
 	// EvACFACollapsed: the weak-bisimulation quotient shrank the ARG
 	// projection into a new context model (locs_before/locs_after).
 	EvACFACollapsed = "acfa_collapsed"
-	// EvSMTPhaseStats: solver-work deltas for one engine phase. Sequential
-	// phases (refine, simcheck, collapse, goodloc) carry the full
-	// smt.Stats delta; the frontier-parallel reach phase carries only
-	// new_cached (the cache-content delta), because hit/miss splits under
-	// racing workers are scheduling-dependent while the set of cached
-	// formulas is not. The event is suppressed entirely when the solver is
-	// shared with concurrently-running analyses (batch mode), where no
-	// delta is attributable. These rules keep the journal byte-identical
-	// at any parallelism.
+	// EvSMTPhaseStats: solver-work deltas for one engine phase. The
+	// refine, simcheck, collapse and goodloc phases carry the full
+	// smt.Stats delta; the reach phase carries only new_cached (the
+	// cache-content delta), the shape its events have always had. The
+	// event is suppressed entirely when the solver is shared with
+	// concurrently-running analyses (batch mode), where no delta is
+	// attributable. These rules keep the journal byte-identical at any
+	// parallelism.
 	EvSMTPhaseStats = "smt_phase_stats"
 	// EvTriageVerdict: the static triage stage discharged the case before
 	// CIRC ran (verdict is always "safe"; reason names the discharge

@@ -1,9 +1,6 @@
 package reach
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"circ/internal/acfa"
 	"circ/internal/pred"
 )
@@ -14,8 +11,8 @@ import (
 // vector). The variable-width parts are interned per ReachAndBuild run:
 // cube valuations into IDs (cubeTable), contexts into immutable entries
 // (ctxTable), and the (location, valuation) pair into the ARG's dense
-// thread-state id. The merger hashes one packed word and never builds a
-// key string.
+// thread-state id. Deduplication hashes one packed word and never builds
+// a key string.
 //
 // The cube part is the three-valued vector itself, never the cube's
 // FormulaID: pred.Set.Add does not reject an atom whose negation is
@@ -45,22 +42,18 @@ type node struct {
 // intern table; it is immutable.
 func (n node) state() *State { return &State{TS: n.ts, Ctx: n.ctx.vec} }
 
-// cubeTable interns cube valuations. It is filled on post-cache misses
-// and at seeding, so the hot path (a post-cache hit) never touches it.
-type cubeTable struct {
-	mu  sync.Mutex
-	ids map[string]int32
-}
+// cubeTable interns cube valuations, keyed by Cube.Key. It is filled on
+// post-cache misses and at seeding, so the hot path (a post-cache hit)
+// never touches it.
+type cubeTable map[string]int32
 
 // intern returns the valuation ID of c.
-func (t *cubeTable) intern(c *pred.Cube) int32 {
+func (t cubeTable) intern(c *pred.Cube) int32 {
 	k := c.Key()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id, ok := t.ids[k]
+	id, ok := t[k]
 	if !ok {
-		id = int32(len(t.ids))
-		t.ids[k] = id
+		id = int32(len(t))
+		t[k] = id
 	}
 	return id
 }
@@ -74,7 +67,7 @@ type ctxEntry struct {
 	occupied, atomicOcc []acfa.Loc
 	// next[edgeBase[n]+i] is the context after a thread takes the i-th
 	// edge out of n; nil until that move is first taken.
-	next []atomic.Pointer[ctxEntry]
+	next []*ctxEntry
 }
 
 // ctxTable interns the context vectors of one run. Lookups by vector
@@ -85,7 +78,6 @@ type ctxTable struct {
 	edgeBase []int
 	numEdges int
 
-	mu     sync.Mutex
 	byKey  map[string]*ctxEntry
 	keyBuf []byte
 }
@@ -101,13 +93,11 @@ func newCtxTable(a *acfa.ACFA, k int) *ctxTable {
 
 // intern returns the entry for vec, which it takes ownership of.
 func (t *ctxTable) intern(vec Ctx) *ctxEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.keyBuf = vec.appendKey(t.keyBuf[:0])
 	if c, ok := t.byKey[string(t.keyBuf)]; ok {
 		return c
 	}
-	c := &ctxEntry{id: int32(len(t.byKey)), vec: vec, next: make([]atomic.Pointer[ctxEntry], t.numEdges)}
+	c := &ctxEntry{id: int32(len(t.byKey)), vec: vec, next: make([]*ctxEntry, t.numEdges)}
 	for n, v := range c.vec {
 		if v == 0 {
 			continue
@@ -122,21 +112,19 @@ func (t *ctxTable) intern(vec Ctx) *ctxEntry {
 }
 
 // move returns the context after one thread at n takes its i-th out-edge
-// (to dst). Concurrent callers may both fill an empty slot; interning
-// makes them agree on the entry.
+// (to dst).
 func (t *ctxTable) move(c *ctxEntry, n acfa.Loc, i int, dst acfa.Loc) *ctxEntry {
 	slot := &c.next[t.edgeBase[n]+i]
-	if nx := slot.Load(); nx != nil {
-		return nx
+	if *slot == nil {
+		*slot = t.intern(c.vec.Dec(n).Inc(dst, t.k))
 	}
-	nx := t.intern(c.vec.Dec(n).Inc(dst, t.k))
-	slot.Store(nx)
-	return nx
+	return *slot
 }
 
-// discovered is the merger's record of every state found so far, in
-// discovery order, under dense indices. Entries live in fixed-size blocks
-// so that growing the record never copies it.
+// discovered is the record of every state found so far, in discovery
+// order, under dense indices; it is also the exploration worklist.
+// Entries live in fixed-size blocks so that growing the record never
+// copies it.
 type discovered struct {
 	index  map[stateKey]int32
 	blocks [][]discEntry

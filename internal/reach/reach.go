@@ -3,7 +3,6 @@ package reach
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"circ/internal/acfa"
 	"circ/internal/cfa"
@@ -13,31 +12,6 @@ import (
 	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
-
-// Sched selects the exploration scheduler. Both schedulers produce
-// identical verdicts, race lists, ARGs, and journals at any parallelism;
-// they differ only in how expansion work is distributed across workers.
-type Sched int
-
-const (
-	// SchedSteal (the default) runs the deterministic work-stealing pool:
-	// a sequential merger walks states in discovery order while workers
-	// race ahead expanding outstanding states from per-worker deques. No
-	// level barrier — workers stay busy as long as any work is
-	// outstanding. See steal.go for the determinism argument.
-	SchedSteal Sched = iota
-	// SchedLevel runs the original level-synchronous BFS: each frontier
-	// level is expanded by a worker pool, then merged sequentially before
-	// the next level starts. Kept for comparison (-sched level).
-	SchedLevel
-)
-
-func (s Sched) String() string {
-	if s == SchedLevel {
-		return "level"
-	}
-	return "steal"
-}
 
 // Options configures ReachAndBuild.
 type Options struct {
@@ -51,18 +25,9 @@ type Options struct {
 	// MaxRaces caps how many distinct race traces are collected; 0 means
 	// the default (64).
 	MaxRaces int
-	// Parallelism is the number of workers expanding frontier states
-	// concurrently; 0 or 1 runs sequentially. Results are identical at any
-	// parallelism: successors are computed in parallel but merged in
-	// deterministic BFS order. Parallelism > 1 requires the abstractor's
-	// solver to be safe for concurrent use (smt.CachedChecker).
-	Parallelism int
-	// Sched selects the scheduler; the zero value is SchedSteal.
-	Sched Sched
 	// Metrics, when non-nil, receives exploration counters (states,
-	// levels, frontier high-water mark, post-cache effectiveness, races,
-	// steals, worker idle time). Telemetry never affects the verdict,
-	// only observes it.
+	// frontier high-water mark, post-cache effectiveness, races).
+	// Telemetry never affects the verdict, only observes it.
 	Metrics *telemetry.Registry
 }
 
@@ -78,13 +43,6 @@ func (o Options) maxRaces() int {
 		return o.MaxRaces
 	}
 	return 64
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism > 1 {
-		return o.Parallelism
-	}
-	return 1
 }
 
 // Result is the outcome of ReachAndBuild.
@@ -111,25 +69,19 @@ func (r *Result) Race() *Trace {
 // ReachAndBuild explores the abstract multithreaded program ((C,P),(A,k)),
 // checking for races on raceVar, and builds the ARG. abs carries the
 // predicate set P and the SMT solver. The context cancels long runs
-// between frontier levels.
+// between state expansions.
 func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) (*Result, error) {
 	e := newExplorer(C, A, abs, raceVar, opts)
 	// Instrument handles are fetched once; with a nil registry they are nil
 	// and every update on the hot path degrades to a nil check.
 	if reg := opts.Metrics; reg != nil {
 		e.cStates = reg.Counter("reach.states")
-		e.cLevels = reg.Counter("reach.levels")
 		e.cRaces = reg.Counter("reach.races")
 		e.cPostHits = reg.Counter("reach.post.cache.hits")
 		e.cPostMisses = reg.Counter("reach.post.cache.misses")
-		e.cSteals = reg.Counter("reach.steal.count")
 		e.gFrontier = reg.Gauge("reach.frontier.max")
-		// Exported to Prometheus as circ_reach_worker_idle_seconds (the
-		// exporter appends the unit suffix to histogram families).
-		e.hIdle = reg.Histogram("reach.worker.idle")
 	}
 	e.j = journal.FromContext(ctx)
-	e.tl = telemetry.TimelineFromContext(ctx)
 	ctx, sp := telemetry.StartSpan(ctx, "reach")
 	res, err := e.run(ctx)
 	if res != nil {
@@ -139,11 +91,6 @@ func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 	sp.End()
 	return res, err
 }
-
-// postShardCount shards the abstract-post cache; frontier workers hit it
-// on every expansion, so it is the engine's hottest shared structure after
-// the SMT cache.
-const postShardCount = 32
 
 // postKey identifies an abstract-post computation. Posts are a pure
 // function of the source cube's canonical formula (its interned ID) and
@@ -167,50 +114,11 @@ func envPostKey(fid expr.ID, n acfa.Loc, ai, ti int) postKey {
 	return postKey{fid: fid, kind: 'e', a: int32(n), b: int32(ai), c: int32(ti)}
 }
 
-// shard mixes the key fields into a shard index with one multiply-fold.
-func (k postKey) shard() uint32 {
-	h := uint64(k.fid) ^ uint64(k.kind)<<56 ^
-		uint64(uint32(k.a))<<8 ^ uint64(uint32(k.b))<<24 ^ uint64(uint32(k.c))<<40
-	h *= 0x9E3779B97F4A7C15
-	return uint32(h>>32) % postShardCount
-}
-
 // postVal is a memoised post: the successor cube and its valuation ID,
 // or a nil cube for bottom.
 type postVal struct {
 	cube *pred.Cube
 	vid  int32
-}
-
-type postShard struct {
-	mu sync.RWMutex
-	m  map[postKey]postVal
-}
-
-// postCache memoises abstract posts behind sharded RW mutexes: states
-// sharing a cube formula but differing in counters or spelling would
-// otherwise recompute identical SMT-heavy posts, and concurrent frontier
-// workers share each other's results.
-type postCache struct {
-	shards [postShardCount]postShard
-}
-
-func (p *postCache) get(key postKey, compute func() postVal) (postVal, bool) {
-	sh := &p.shards[key.shard()]
-	sh.mu.RLock()
-	c, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		return c, true
-	}
-	// Compute outside the lock; a concurrent duplicate computes the same
-	// deterministic cube (and valuation ID), so last-write-wins is
-	// harmless.
-	c = compute()
-	sh.mu.Lock()
-	sh.m[key] = c
-	sh.mu.Unlock()
-	return c, false
 }
 
 type explorer struct {
@@ -220,68 +128,93 @@ type explorer struct {
 	raceVar string
 	opts    Options
 
-	posts postCache
+	// posts memoises abstract posts: states sharing a cube formula but
+	// differing in counters or spelling would otherwise recompute
+	// identical SMT-heavy posts. A nil cube records bottom.
+	posts map[postKey]postVal
 	cubes cubeTable
 	ctxs  *ctxTable
 
+	// recs is the successor buffer, reused across expansions: merge
+	// consumes a state's successors before the next state is expanded.
+	recs []succRecord
+
 	// Telemetry handles, nil when no registry is configured (each update
 	// is then a single nil check — see BenchmarkReachTelemetry).
-	cStates, cLevels, cRaces *telemetry.Counter
-	cPostHits, cPostMisses   *telemetry.Counter
-	cSteals                  *telemetry.Counter
-	gFrontier                *telemetry.Gauge
-	hIdle                    *telemetry.Histogram
+	cStates, cRaces        *telemetry.Counter
+	cPostHits, cPostMisses *telemetry.Counter
+	gFrontier              *telemetry.Gauge
 
-	// tl, when a flight-deck timeline rides in on the context, receives
-	// per-worker busy/idle/steal segments from the steal scheduler. Like
-	// the journal it is carried alongside the verdict path: segments are
-	// wall-clock observations and never feed back into exploration.
-	tl *telemetry.Timeline
-
-	// j records counter-widening events; emission happens only in the
-	// sequential merge phase, so the journal stays deterministic at any
-	// parallelism.
+	// j records counter-widening events.
 	j *journal.Stream
 }
 
 func newExplorer(C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) *explorer {
-	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts, ctxs: newCtxTable(A, opts.K)}
-	e.cubes.ids = make(map[string]int32)
-	for i := range e.posts.shards {
-		e.posts.shards[i].m = make(map[postKey]postVal)
+	return &explorer{
+		C: C, A: A, abs: abs, raceVar: raceVar, opts: opts,
+		posts: make(map[postKey]postVal),
+		cubes: make(cubeTable),
+		ctxs:  newCtxTable(A, opts.K),
 	}
-	return e
 }
 
 // cachedPost memoises the abstract post computed by compute under key,
 // interning the successor cube's valuation on a miss.
 func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) postVal {
-	v, hit := e.posts.get(key, func() postVal {
-		c := compute()
-		if c == nil {
-			return postVal{}
-		}
-		return postVal{cube: c, vid: e.cubes.intern(c)}
-	})
-	if hit {
+	if v, ok := e.posts[key]; ok {
 		e.cPostHits.Inc()
-	} else {
-		e.cPostMisses.Inc()
+		return v
 	}
+	e.cPostMisses.Inc()
+	var v postVal
+	if c := compute(); c != nil {
+		v = postVal{cube: c, vid: e.cubes.intern(c)}
+	}
+	e.posts[key] = v
 	return v
 }
 
-// run dispatches to the configured scheduler. Both produce identical
-// results; see the Sched constants.
+// run is the exploration loop: a FIFO breadth-first search in which the
+// discovery record doubles as the worklist. State i is expanded, counted
+// against the state budget, checked for a race, and its successors are
+// merged; newly found states are appended to the record and expanded in
+// turn.
 func (e *explorer) run(ctx context.Context) (*Result, error) {
-	if e.opts.Sched == SchedLevel {
-		return e.runLevel(ctx)
+	arg, d := e.seed()
+	var races []*Trace
+	// widened tracks which context locations have already been journalled
+	// as saturating their counter to omega (reported once per run).
+	var widened map[acfa.Loc]bool
+	if e.j.Enabled() {
+		widened = make(map[acfa.Loc]bool)
 	}
-	return e.runSteal(ctx)
+	for i := int32(0); i < d.len(); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		n := d.at(i).n
+		e.recs = e.successors(n, e.recs[:0])
+		e.cStates.Inc()
+		if int(i) >= e.opts.maxStates() {
+			return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
+		}
+		if e.isRace(n) {
+			e.cRaces.Inc()
+			races = append(races, d.trace(i))
+			if len(races) >= e.opts.maxRaces() {
+				// Enough counterexamples for this refinement round; the
+				// ARG is partial but unused on the error path.
+				return &Result{Races: races, ARG: arg, NumStates: int(i) + 1}, nil
+			}
+		}
+		e.merge(arg, d, i, e.recs, widened)
+		e.gFrontier.Max(int64(d.len() - i - 1))
+	}
+	return &Result{Races: races, ARG: arg, NumStates: int(d.len())}, nil
 }
 
 // seed builds the ARG and the discovery record, holding the initial
-// state, shared by both schedulers.
+// state.
 func (e *explorer) seed() (*ARG, *discovered) {
 	arg := NewARG(e.C, e.abs.Set)
 	allVars := append(append([]string(nil), e.C.Globals...), e.C.Locals...)
@@ -301,8 +234,7 @@ func (e *explorer) seed() (*ARG, *discovered) {
 }
 
 // emitWidened journals context locations whose counter just saturated to
-// omega on the parent→child transition, once per run. Called only from
-// sequential merge phases, so emission order is deterministic.
+// omega on the parent→child transition, once per run.
 func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *ctxEntry) {
 	if widened == nil || parent == child {
 		return
@@ -324,7 +256,6 @@ func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *ctxEntr
 
 // merge records the successors of discovered state i in the ARG and in
 // d, in record order; the newly discovered states are appended to d.
-// Called only from the sequential merge phase of either scheduler.
 func (e *explorer) merge(arg *ARG, d *discovered, i int32, recs []succRecord, widened map[acfa.Loc]bool) {
 	src := d.at(i)
 	srcCtx, srcTS := src.n.ctx, int(src.ts)
@@ -339,108 +270,6 @@ func (e *explorer) merge(arg *ARG, d *discovered, i int32, recs []succRecord, wi
 			e.emitWidened(widened, srcCtx, rec.n.ctx)
 		}
 	}
-}
-
-// runLevel is a level-synchronous BFS. Each level's states are expanded
-// by a worker pool (the expansion is pure: abstract posts and SMT
-// queries, no shared mutable state beyond the concurrent caches); the
-// results are then merged sequentially in frontier order, which
-// reproduces the exact dequeue order, race list, ARG, and budget
-// accounting of a sequential FIFO worklist — verdicts are bit-identical
-// at any parallelism.
-func (e *explorer) runLevel(ctx context.Context) (*Result, error) {
-	arg, d := e.seed()
-	frontier := []int32{0}
-	numStates := 0
-	var races []*Trace
-	// widened tracks which context locations have already been journalled
-	// as saturating their counter to omega (reported once per run).
-	var widened map[acfa.Loc]bool
-	if e.j.Enabled() {
-		widened = make(map[acfa.Loc]bool)
-	}
-
-levels:
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		e.cLevels.Inc()
-		e.gFrontier.Max(int64(len(frontier)))
-		recs := e.expandLevel(d, frontier)
-
-		next := d.len()
-		for fi, i := range frontier {
-			numStates++
-			e.cStates.Inc()
-			if numStates > e.opts.maxStates() {
-				return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
-			}
-			if e.isRace(d.at(i).n) {
-				e.cRaces.Inc()
-				races = append(races, d.trace(i))
-				if len(races) >= e.opts.maxRaces() {
-					// Enough counterexamples for this refinement round; the
-					// ARG is partial but unused on the error path.
-					break levels
-				}
-			}
-			// ARG bookkeeping happens here, in deterministic order, not in
-			// the parallel expansion phase.
-			e.merge(arg, d, i, recs[fi], widened)
-		}
-		frontier = frontier[:0]
-		for i := next; i < d.len(); i++ {
-			frontier = append(frontier, i)
-		}
-	}
-	return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
-}
-
-// minParallelFrontier is the frontier size below which SchedLevel
-// expansion runs sequentially even when a worker pool is configured.
-// Small levels — common in the narrow early and late phases of a run,
-// and throughout programs whose frontier never widens — cost more in
-// goroutine spawn and channel handoff than their (mostly post-cache-hit)
-// expansions save; this cutover is what fixed the table1/surge parallel
-// regression. It keys on frontier length because that IS the outstanding
-// work of a level-synchronous round; the work-stealing scheduler has no
-// levels and uses the (smaller) outstanding-work cutover
-// minStealOutstanding in steal.go instead.
-const minParallelFrontier = 8
-
-// expandLevel computes the successor records of every frontier state,
-// fanning the states out over the configured worker pool once the level
-// is large enough to amortise the handoff.
-func (e *explorer) expandLevel(d *discovered, frontier []int32) [][]succRecord {
-	recs := make([][]succRecord, len(frontier))
-	workers := e.opts.parallelism()
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	if workers <= 1 || len(frontier) < minParallelFrontier {
-		for fi, i := range frontier {
-			recs[fi] = e.successors(d.at(i).n)
-		}
-		return recs
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for fi := range idx {
-				recs[fi] = e.successors(d.at(frontier[fi]).n)
-			}
-		}()
-	}
-	for fi := range frontier {
-		idx <- fi
-	}
-	close(idx)
-	wg.Wait()
-	return recs
 }
 
 // atomicOccupancy classifies the scheduling state: which ops are enabled.
@@ -467,23 +296,18 @@ func (e *explorer) atomicOccupancy(n node) (mainEnabled bool, envLocs []acfa.Loc
 	}
 }
 
-// succRecord is one computed successor, carrying what the merge phase
-// needs to record the ARG transition (op) and enqueue the state.
+// succRecord is one computed successor, carrying what merge needs to
+// record the ARG transition (op) and enqueue the state.
 type succRecord struct {
 	n  node
 	op Op
 }
 
-// successors expands a state. It is pure with respect to the explorer —
-// safe to call from concurrent workers — touching only the concurrent
-// post cache and the (concurrency-safe) solver; ARG recording and
-// deduplication happen later in the sequential merge.
-func (e *explorer) successors(s node) []succRecord {
+// successors appends the successors of s to out. It touches only the
+// explorer's intern tables and caches and the solver; ARG recording and
+// deduplication happen in merge.
+func (e *explorer) successors(s node, out []succRecord) []succRecord {
 	mainEnabled, envLocs := e.atomicOccupancy(s)
-	// Collect into a stack buffer and return an exact-size copy: one
-	// allocation per expansion instead of one per append doubling.
-	var buf [16]succRecord
-	out := buf[:0]
 
 	// Note on the paper's Lambda-G conjunct: the abstract post in the
 	// paper additionally conjoins the labels of all occupied context
@@ -540,10 +364,7 @@ func (e *explorer) successors(s node) []succRecord {
 			}
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return append([]succRecord(nil), out...)
+	return out
 }
 
 // isRace reports whether s is a race state on e.raceVar: no occupied

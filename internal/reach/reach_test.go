@@ -2,6 +2,8 @@ package reach
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"circ/internal/acfa"
@@ -10,6 +12,7 @@ import (
 	"circ/internal/lang"
 	"circ/internal/pred"
 	"circ/internal/smt"
+	"circ/internal/telemetry"
 )
 
 func buildCFA(t testing.TB, src string) *cfa.CFA {
@@ -171,7 +174,7 @@ thread T {
 	ctx := make(Ctx, a.NumLocs())
 	ctx[a.Entry] = Omega
 	st := node{ts: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, ctx: e.ctxs.intern(ctx)}
-	for _, s := range e.successors(st) {
+	for _, s := range e.successors(st, nil) {
 		if s.op.IsEnv() {
 			t.Fatalf("environment move fired while main is atomic: %v", s.op)
 		}
@@ -308,7 +311,124 @@ thread T {
 	}
 }
 
+// testAndSet returns the test-and-set program under a context that
+// havocs both globals: a few hundred states with several races on x.
+func testAndSet(t *testing.T) (*cfa.CFA, *acfa.ACFA, *pred.Abstractor) {
+	t.Helper()
+	c := buildCFA(t, `
+global int x;
+global int state;
+thread T {
+  local int old;
+  while (1) {
+    atomic {
+      old = state;
+      if (state == 0) { state = 1; }
+    }
+    if (old == 0) {
+      x = x + 1;
+      state = 0;
+    }
+  }
+}
+`)
+	set := pred.NewSet()
+	abs := pred.NewAbstractor(smt.NewCachedChecker(), set)
+	a := acfa.Empty(set)
+	l1 := a.AddLoc(pred.TrueRegion(set), false)
+	a.AddEdge(a.Entry, l1, []string{"x", "state"})
+	a.AddEdge(l1, a.Entry, []string{"x", "state"})
+	a.Finish()
+	return c, a, abs
+}
+
+// TestStateBudget: a run that needs exactly MaxStates states completes;
+// one state fewer fails with the budget error.
 func TestStateBudget(t *testing.T) {
+	c, a, abs := testAndSet(t)
+	full, err := ReachAndBuild(context.Background(), c, a, abs, "x", Options{K: 2, MaxRaces: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReachAndBuild(context.Background(), c, a, abs, "x",
+		Options{K: 2, MaxRaces: 1000, MaxStates: full.NumStates}); err != nil {
+		t.Fatalf("MaxStates = NumStates (%d): %v", full.NumStates, err)
+	}
+	_, err = ReachAndBuild(context.Background(), c, a, abs, "x",
+		Options{K: 2, MaxRaces: 1000, MaxStates: full.NumStates - 1})
+	if err == nil || !strings.Contains(err.Error(), "state budget exceeded") {
+		t.Fatalf("MaxStates = %d: err = %v, want state budget exceeded", full.NumStates-1, err)
+	}
+}
+
+// TestStealBudgetExceeded: a budget far below the state count stops the
+// test-and-set run early with the budget error and no partial result.
+func TestStealBudgetExceeded(t *testing.T) {
+	c, a, abs := testAndSet(t)
+	res, err := ReachAndBuild(context.Background(), c, a, abs, "x", Options{K: 2, MaxStates: 10})
+	if err == nil || !strings.Contains(err.Error(), "state budget exceeded") {
+		t.Fatalf("err = %v, want state budget exceeded", err)
+	}
+	if res != nil {
+		t.Fatalf("budget error returned a result with %d states", res.NumStates)
+	}
+}
+
+// TestRaceCap: exploration stops at the MaxRaces-th race, returning the
+// same shortest-first traces an uncapped run reports first.
+func TestRaceCap(t *testing.T) {
+	c, a, abs := testAndSet(t)
+	all, err := ReachAndBuild(context.Background(), c, a, abs, "x", Options{K: 2, MaxRaces: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.Races) <= 2 {
+		t.Fatalf("fixture finds %d races, want more than 2", len(all.Races))
+	}
+	capped, err := ReachAndBuild(context.Background(), c, a, abs, "x", Options{K: 2, MaxRaces: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(capped.Races) != 2 {
+		t.Fatalf("race cap ignored: %d races", len(capped.Races))
+	}
+	for i, tr := range capped.Races {
+		if tr.String() != all.Races[i].String() {
+			t.Fatalf("capped race %d differs from the uncapped run's:\n%s\nvs\n%s", i, tr, all.Races[i])
+		}
+	}
+	if capped.NumStates >= all.NumStates {
+		t.Fatalf("capped run explored %d states, uncapped %d; want fewer", capped.NumStates, all.NumStates)
+	}
+}
+
+// TestReachCounters: the registry's state and race counters match the
+// result, and the frontier gauge and post-cache counters are recorded.
+func TestReachCounters(t *testing.T) {
+	c, a, abs := testAndSet(t)
+	reg := telemetry.NewRegistry()
+	res, err := ReachAndBuild(context.Background(), c, a, abs, "x", Options{K: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["reach.states"] != int64(res.NumStates) {
+		t.Fatalf("reach.states = %d, want %d", snap.Counters["reach.states"], res.NumStates)
+	}
+	if snap.Counters["reach.races"] != int64(len(res.Races)) {
+		t.Fatalf("reach.races = %d, want %d", snap.Counters["reach.races"], len(res.Races))
+	}
+	if snap.Gauges["reach.frontier.max"] < 1 {
+		t.Fatalf("reach.frontier.max = %d, want >= 1", snap.Gauges["reach.frontier.max"])
+	}
+	if snap.Counters["reach.post.cache.misses"] == 0 || snap.Counters["reach.post.cache.hits"] == 0 {
+		t.Fatalf("post cache counters not recorded: %v", snap.Counters)
+	}
+}
+
+// TestReachCancellation: a cancelled context stops exploration with the
+// context's error.
+func TestReachCancellation(t *testing.T) {
 	c := buildCFA(t, `
 global int x;
 thread T {
@@ -318,9 +438,15 @@ thread T {
 	chk := smt.NewChecker()
 	set := pred.NewSet()
 	abs := pred.NewAbstractor(chk, set)
-	_, err := ReachAndBuild(context.Background(), c, acfa.Empty(set), abs, "x", Options{K: 1, MaxStates: 1})
-	if err == nil {
-		t.Fatalf("expected budget error")
+	a := acfa.Empty(set)
+	l1 := a.AddLoc(pred.TrueRegion(set), false)
+	a.AddEdge(a.Entry, l1, []string{"x"})
+	a.Finish()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := ReachAndBuild(ctx, c, a, abs, "x", Options{K: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 

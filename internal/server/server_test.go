@@ -261,6 +261,36 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestSubmitIgnoresRetiredSchedOption: a client that still sends the
+// retired "options.sched" field is accepted and its job is checked; the
+// request decoder ignores unknown fields.
+func TestSubmitIgnoresRetiredSchedOption(t *testing.T) {
+	_, ts := newTestServer(t)
+	body, err := json.Marshal(map[string]any{
+		"program": racySrc,
+		"options": map[string]any{"sched": "level", "triage": "off"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/check", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with options.sched: status %d", resp.StatusCode)
+	}
+	var ack apiv1.SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	job := await(t, ts, ack.JobURL)
+	if job.State != apiv1.StateDone || len(job.Results) != 1 || job.Results[0].Verdict != "unsafe" {
+		t.Fatalf("job = %+v, want done with one unsafe verdict", job)
+	}
+}
+
 // TestColdWarmResubmit: the warm re-submission of an unchanged program
 // performs zero CIRC iterations — every non-triaged verdict is served
 // from the certificate store — and its verdicts are identical to the

@@ -10,9 +10,9 @@ import (
 )
 
 // numShards is the cache shard count. 64 keeps lock contention negligible
-// for the worker-pool sizes the analysis engine runs with (≤ GOMAXPROCS
-// frontier workers plus one goroutine per (thread, variable) pair) while
-// staying cheap to allocate per process.
+// for the worker-pool sizes the analysis engine runs with (one goroutine
+// per concurrently checked (thread, variable) pair, at most GOMAXPROCS by
+// default) while staying cheap to allocate per process.
 const numShards = 64
 
 type cacheShard struct {
@@ -35,9 +35,9 @@ type inflightSolve struct {
 // shard selection are integer operations, and a cache hit performs no
 // string construction and no allocation — hashed across mutex-guarded
 // shards with hit/miss counters. One CachedChecker is meant to be shared
-// by every analysis in a process — across frontier workers of one
-// reachability run, across refinement rounds, and across the (thread,
-// variable) pairs of a batch check — so identical predicate-abstraction
+// by every analysis in a process — across the reachability runs and
+// refinement rounds of one check, and across the (thread, variable)
+// pairs of a batch check — so identical predicate-abstraction
 // cubes and validity queries are never re-discharged.
 //
 // Two goroutines racing on the same uncached formula may both solve it;
@@ -209,8 +209,7 @@ func (c *CachedChecker) Stats() CacheStats {
 // CacheSize returns the number of distinct formulas with cached verdicts.
 // Unlike the hit/miss split — which depends on how concurrent workers
 // interleave on uncached formulas — the cache *content* is a deterministic
-// function of the queries the analysis issues, so size deltas are safe to
-// journal from frontier-parallel phases.
+// function of the queries the analysis issues.
 func (c *CachedChecker) CacheSize() int {
 	n := 0
 	for i := range c.core.shards {
@@ -357,8 +356,8 @@ func (c *CachedChecker) UnsatCore(parts []expr.Expr) (core []int, ok bool) {
 
 // NewSession opens an incremental session for conjunctions with phi. The
 // session itself is single-goroutine, but it reads and populates the
-// shared sharded cache, so concurrent sessions (one per frontier worker)
-// still share verdicts.
+// shared sharded cache, so concurrent sessions (one per batch unit) still
+// share verdicts.
 func (c *CachedChecker) NewSession(phi expr.ID) *Session {
 	return &Session{
 		core: c.core.inner,

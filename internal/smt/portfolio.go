@@ -12,7 +12,7 @@ import (
 // Shared-learning SMT portfolio.
 //
 // Incremental Sessions solving the same φ (predicate-abstraction re-runs
-// the same cube formula across frontier workers, refinement rounds, and
+// the same cube formula across reach expansions, refinement rounds, and
 // the targets of a batch) each rediscover the same theory-conflict
 // lemmas. The portfolio keeps a bounded pool of those lemmas per φ,
 // keyed by the formula's interned ID: a session captures every

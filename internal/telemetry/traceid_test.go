@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -101,5 +103,41 @@ func TestTracerMaxSpans(t *testing.T) {
 	}
 	if d := tr.DroppedSpans(); d != 3 {
 		t.Fatalf("dropped %d spans, want 3", d)
+	}
+}
+
+// TestExportStampsTraceID: with a trace identity attached, the export
+// records it in otherData and stamps it on every span event.
+func TestExportStampsTraceID(t *testing.T) {
+	tr := NewTracer()
+	tc := ContextFromTraceParent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	tr.SetTraceContext(tc)
+	tr.StartDetached("smt.solve", "smt").End()
+	tr.StartDetached("reach", "").End()
+
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		OtherData map[string]string `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	if file.OtherData["trace_id"] != tc.TraceID || file.OtherData["parent_span_id"] != "00f067aa0ba902b7" {
+		t.Fatalf("otherData = %v", file.OtherData)
+	}
+	if len(file.TraceEvents) != 2 {
+		t.Fatalf("exported %d events, want 2", len(file.TraceEvents))
+	}
+	for _, ev := range file.TraceEvents {
+		if got, _ := ev.Args["trace_id"].(string); got != tc.TraceID {
+			t.Fatalf("event %q missing trace_id: %v", ev.Name, ev.Args)
+		}
 	}
 }

@@ -80,20 +80,18 @@ func recordGoldenJournal(t *testing.T, gc goldenCase, opts ...Option) []byte {
 }
 
 // TestJournalGolden checks byte identity with the recorded journals at
-// parallelism 1 and 2 under both schedulers.
+// parallelism 1 and 2 (the batch case runs its units concurrently at 2).
 func TestJournalGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden", gc.file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sched := range []Sched{SchedSteal, SchedLevel} {
-			for _, parallel := range []int{1, 2} {
-				got := recordGoldenJournal(t, gc, WithScheduler(sched), WithParallelism(parallel))
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: journal differs from golden at sched=%v parallel=%d:\n%s",
-						gc.file, sched, parallel, firstDiff(want, got))
-				}
+		for _, parallel := range []int{1, 2} {
+			got := recordGoldenJournal(t, gc, WithParallelism(parallel))
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: journal differs from golden at parallel=%d:\n%s",
+					gc.file, parallel, firstDiff(want, got))
 			}
 		}
 	}

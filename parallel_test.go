@@ -101,8 +101,8 @@ func TestCheckAllRacesBenchSuite(t *testing.T) {
 	}
 }
 
-// TestCheckerParallelMatchesSequential: a single-target Check (which uses
-// frontier-parallel reachability) agrees with the sequential engine.
+// TestCheckerParallelMatchesSequential: a single-target Check agrees at
+// any WithParallelism setting, which bounds only the batch pool.
 func TestCheckerParallelMatchesSequential(t *testing.T) {
 	p, err := Parse(tasSrc)
 	if err != nil {
@@ -120,6 +120,34 @@ func TestCheckerParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("sequential %s (preds=%d k=%d rounds=%d) vs parallel %s (preds=%d k=%d rounds=%d)",
 			seq.Verdict, len(seq.Preds), seq.K, seq.Rounds,
 			par.Verdict, len(par.Preds), par.K, par.Rounds)
+	}
+}
+
+// TestRepeatCheckDeterministic: checking App/rxBuf twice, each time on a
+// fresh checker with a two-worker budget, does the same work: the same
+// SMT queries and cache misses and the same number of reach states.
+func TestRepeatCheckDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("appmodel check takes about a second")
+	}
+	p, err := Parse(benchapps.AppModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() [3]int64 {
+		rep, err := NewChecker(WithParallelism(2)).Check(context.Background(), p, "App", "rxBuf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict != Safe {
+			t.Fatalf("App/rxBuf verdict = %v, want safe", rep.Verdict)
+		}
+		m := rep.Metrics
+		return [3]int64{m.Gauge("smt.queries"), m.Gauge("smt.cache.misses"), m.Counter("reach.states")}
+	}
+	first, second := counts(), counts()
+	if first != second {
+		t.Fatalf("repeat check drifted: [smt.queries smt.cache.misses reach.states] = %v then %v", first, second)
 	}
 }
 

@@ -26,8 +26,7 @@ func verdictKey(rep *Report) string {
 }
 
 // TestTracingPreservesVerdicts: enabling the tracer and the metrics
-// registry must leave analysis results byte-identical, including under
-// frontier-parallel reachability at GOMAXPROCS.
+// registry must leave analysis results byte-identical.
 func TestTracingPreservesVerdicts(t *testing.T) {
 	for _, src := range []string{tasSrc, `
 global int x;
